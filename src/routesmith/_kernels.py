@@ -1,4 +1,4 @@
-"""Compiled hot loops over the array-backed solution state.
+"""Hot loops over the array-backed solution state.
 
 All functions operate on the raw arrays owned by ``model.Solution``:
 ``nodes`` (padded 2D customer ids per tour row), ``lens``, ``tdem``,
@@ -6,9 +6,18 @@ All functions operate on the raw arrays owned by ``model.Solution``:
 index and the unassigned mask. Problem codes: 0 = CVRP, 1 = VRPTW,
 2 = PCVRP.
 
+The scalar loops are compiled by numba when it is installed (the optional
+``numba`` extra) and run as plain Python otherwise. Greedy reinsertion has
+two exact implementations: the scalar ``greedy_insert_scalar`` and
+``greedy_insert_numpy``, which caches insertion costs per call and
+vectorizes the scan. ``greedy_insert`` is the compiled scalar kernel under
+numba; without numba it picks the numpy path for batches of at least
+``NUMPY_MIN_WORK[problem]`` (customers offered x insertion options) and
+the scalar loop below that. Both make bit-identical decisions.
+
 Float expressions here are mirrored verbatim by the pure-Python
-``model.insertion_delta`` so both paths make bit-identical placement
-decisions. Keep them in sync.
+``model.insertion_delta``, so it agrees with both paths bit for bit. Keep
+them in sync.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ try:
     from numba import njit
 
     HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is optional: the loops then run interpreted
     HAVE_NUMBA = False
 
     def njit(*args, **kwargs):
@@ -108,8 +117,9 @@ def remove_ids(
 ):
     """Detach customers from their tours; empty tours are swap-deleted.
 
-    Returns (new tour count, travel-cost delta, sum of detached prizes is
-    handled by the caller). ids must be deduplicated and currently assigned.
+    Returns (new tour count, travel-cost delta); the caller adds the
+    detached customers' prizes to the prize penalty, so ``ids`` must be
+    deduplicated and currently assigned.
     """
     cost_delta = 0.0
     nt = n_tours
@@ -163,7 +173,7 @@ def remove_ids(
 
 
 @njit(cache=True)
-def greedy_insert(
+def greedy_insert_scalar(
     nodes,
     lens,
     tdem,
@@ -288,3 +298,231 @@ def greedy_insert(
         commits[oi, 0] = t
         commits[oi, 1] = best_p
     return nt, cost_delta, prize_delta
+
+
+# Elements of one (customers, tours, positions) temporary in the cache
+# build; customers go in chunks so that peak memory stays flat.
+_BUILD_CHUNK = 1 << 14
+
+# Without numba, greedy_insert sends a batch to the numpy path when its
+# work, customers offered x insertion options (assigned customers + tours
+# + 1), reaches the bound for its problem code; smaller batches go to the
+# scalar loop, whose lower per-call overhead wins there. PCVRP batches
+# mostly skip customers, which the numpy path passes over in one step, so
+# it wins at every size. Set from timing both paths on LNS repair batches
+# (CHANGES.md).
+NUMPY_MIN_WORK = (1024, 400, 0)  # CVRP, VRPTW, PCVRP
+
+
+def _slots(nodes, lens, estart, lstart, lo, hi, dist, service, has_tw):
+    """Insertion slots of tour rows lo..hi-1, one column per position.
+
+    ``seq`` holds each row as depot, customers, depot (zero-padded), so
+    position p lies between ``seq[:, p]`` and ``seq[:, p + 1]`` and removes
+    ``edge[:, p]``. Columns past a row's end get edge -inf, so every
+    insertion cost computed there reads +inf. For VRPTW, ``dep`` is the
+    departure time from the node before the slot and ``lat`` the latest
+    start at the node after it (inf on the return leg).
+    """
+    L = lens[lo:hi]
+    P = int(L.max() if hi - lo > 1 else L[0]) + 1
+    seq = np.zeros((hi - lo, P + 1), dtype=np.int64)
+    seq[:, 1:P] = nodes[lo:hi, : P - 1]
+    past = None
+    if hi - lo > 1:  # a single row has no padding
+        past = np.arange(P) >= L[:, None]
+        seq[:, 1:][past] = 0
+    edge = dist[seq[:, :-1], seq[:, 1:]]
+    if past is not None:
+        edge[:, 1:][past[:, :-1]] = -np.inf
+    if not has_tw:
+        return seq, edge, None, None
+    dep = np.zeros(edge.shape)
+    dep[:, 1:] = estart[lo:hi, : P - 1] + service[seq[:, 1:P]]
+    lat = np.full(edge.shape, np.inf)
+    lat[:, :-1] = lstart[lo:hi, : P - 1]
+    if past is not None:
+        lat[past] = np.inf
+    return seq, edge, dep, lat
+
+
+def _slot_costs(cs, prz, tws, twe, svc, slots, dist):
+    """Cheapest insertion of each customer of ``cs`` into each slot row.
+
+    ``prz``, ``tws``, ``twe`` and ``svc`` hold the customers' prize, window
+    and service time. Returns (cost, position), shaped (customers, rows):
+    cost is inf where no position is time-feasible, position the first
+    argmin. Each float expression is evaluated as in
+    ``greedy_insert_scalar``. ``model.Instance`` builds ``dist`` from
+    coordinate differences, so it is exactly symmetric and one gather
+    serves both ``dist[prev, c]`` and ``dist[c, nxt]``. No cost is NaN or
+    -0.0, so the row minimum is bit for bit the cost at the first argmin.
+    """
+    seq, edge, dep, lat = slots
+    near = dist[cs[:, None, None], seq]
+    into = near[:, :, :-1]
+    out = near[:, :, 1:]
+    cand = into + out
+    cand -= edge
+    cand -= prz[:, None, None]
+    if dep is not None:
+        t0 = tws[:, None, None]
+        arrive = dep + into
+        start = np.where(arrive > t0, arrive, t0)
+        late = start + svc[:, None, None]
+        late += out
+        cand[(start > twe[:, None, None]) | (late > lat)] = np.inf
+    return np.minimum.reduce(cand, axis=2), cand.argmin(axis=2)
+
+
+def greedy_insert_numpy(
+    nodes,
+    lens,
+    tdem,
+    tcost,
+    estart,
+    lstart,
+    tour_of,
+    unassigned,
+    n_tours,
+    order,
+    dist,
+    demand,
+    capacity,
+    service,
+    tws,
+    twe,
+    prize,
+    problem,
+    commits,
+):
+    """``greedy_insert_scalar`` with an insertion-cost cache, in numpy.
+
+    Same parameters, effects and return values, bit for bit. The call
+    first caches, for each customer of ``order`` and each tour, the
+    cheapest position and its delta (inf where capacity, the width bound
+    or a time window fails). A commit changes one tour, so only that
+    tour's column is recomputed, for the customers still to come. PCVRP
+    skips straight to the next customer whose best delta is negative.
+    """
+    nt = n_tours
+    cost_delta = 0.0
+    prize_delta = 0.0
+    rows, width = nodes.shape
+    has_tw = problem == 1
+    pcvrp = problem == 2
+    k = order.shape[0]
+    commits[:] = -1
+    dem_o = demand[order]
+    prz_o = prize[order]
+    tws_o = tws[order]
+    twe_o = twe[order]
+    svc_o = service[order]
+    # at most k tours open during the call
+    cost = np.full((k, min(rows, nt + k)), np.inf)
+    pos = np.zeros(cost.shape, dtype=np.int64)
+
+    def refresh(lo, first, last):
+        """Recompute tours first..last-1 in the cache of order[lo:]."""
+        slots = _slots(nodes, lens, estart, lstart, first, last, dist, service, has_tw)
+        open_row = lens[first:last] < width
+        step = max(1, _BUILD_CHUNK // slots[1].size)
+        for a in range(lo, k, step):
+            b = a + step
+            c_cost, c_pos = _slot_costs(
+                order[a:b], prz_o[a:b], tws_o[a:b], twe_o[a:b], svc_o[a:b], slots, dist
+            )
+            fits = (tdem[first:last] + dem_o[a:b, None] <= capacity) & open_row
+            cost[a:b, first:last] = np.where(fits, c_cost, np.inf)
+            pos[a:b, first:last] = c_pos
+
+    if nt:
+        refresh(0, 0, nt)
+    new_cost = dist[0, order] + dist[order, 0] - dist[0, 0] - prz_o
+    if has_tw:
+        arrive = dist[0, order]
+        start = np.where(arrive > tws_o, arrive, tws_o)
+        new_cost[start > twe_o] = np.inf
+    # Python floats hold the same doubles and compare faster
+    new_list = new_cost.tolist()
+
+    i = 0
+    while i < k:
+        if pcvrp:
+            best_rest = new_cost[i:] if nt < rows else np.full(k - i, np.inf)
+            if nt:
+                best_rest = np.minimum(np.minimum.reduce(cost[i:, :nt], axis=1), best_rest)
+            hits = np.flatnonzero((best_rest < 0.0) & unassigned[order[i:]])
+            if hits.size == 0:
+                break
+            i += int(hits[0])
+        c = order[i]
+        if not unassigned[c]:
+            i += 1
+            continue
+        best = np.inf
+        best_t = -1
+        best_p = -1
+        if nt:
+            j = int(cost[i, :nt].argmin())
+            if cost.item(i, j) < best:
+                best = cost.item(i, j)
+                best_t = j
+                best_p = pos.item(i, j)
+        if nt < rows and new_list[i] < best:
+            best = new_list[i]
+            best_t = nt
+            best_p = 0
+        if best_t < 0:  # on PCVRP the jump above only stops where best < 0
+            i += 1
+            continue
+        dc = demand[c]
+        prz = prize[c]
+        raw = best + prz
+        t = best_t
+        if t == nt:
+            nodes[t, 0] = c
+            lens[t] = 1
+            tdem[t] = dc
+            tcost[t] = dist[0, c] + dist[c, 0]
+            nt += 1
+        else:
+            L = lens[t]
+            nodes[t, best_p + 1 : L + 1] = nodes[t, best_p:L]
+            nodes[t, best_p] = c
+            lens[t] = L + 1
+            tdem[t] += dc
+            tcost[t] += raw
+        tour_of[c] = t
+        unassigned[c] = False
+        cost_delta += raw
+        prize_delta += prz
+        if has_tw:
+            retime_forward(nodes, lens, estart, t, dist, service, tws)
+            retime_backward(nodes, lens, lstart, t, dist, service, twe)
+        commits[i, 0] = t
+        commits[i, 1] = best_p
+        i += 1
+        if i < k:
+            refresh(i, t, t + 1)
+    return nt, cost_delta, prize_delta
+
+
+if HAVE_NUMBA:
+    greedy_insert = greedy_insert_scalar
+else:
+
+    def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                      n_tours, order, dist, demand, capacity, service, tws, twe,
+                      prize, problem, commits):
+        """Greedy reinsertion on whichever interpreted path is faster.
+
+        Same parameters and contract as ``greedy_insert_scalar``; the two
+        paths agree bit for bit, so the choice only affects speed.
+        """
+        work = order.shape[0] * (int(lens[:n_tours].sum()) + n_tours + 1)
+        fast = work >= NUMPY_MIN_WORK[problem]
+        kernel = greedy_insert_numpy if fast else greedy_insert_scalar
+        return kernel(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                      n_tours, order, dist, demand, capacity, service, tws, twe,
+                      prize, problem, commits)

@@ -9,6 +9,7 @@ resolved configuration into the output directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -277,12 +278,6 @@ def cmd_bench(args) -> int:
 
 # -- discover ----------------------------------------------------------------
 
-_DISCOVERY_KEYS = {
-    "problem", "n_init", "n_elite", "n_offspring", "crossover_bias", "crossover_mode",
-    "lam", "iterations", "per_instance_time", "per_instance_iterations",
-    "mutation_enabled", "master_seed", "temperature_init", "temperature_evolve",
-    "max_tokens", "retry_limit", "vary_eval_seeds", "finalist_pool",
-}
 _TRAIN_KEYS = {"manifest", "count", "n", "seed", "capacity", "demand_range", "resolved_paths"}
 _LLM_KEYS = {
     "provider", "model", "endpoint", "seed", "max_concurrent", "min_interval",
@@ -362,7 +357,7 @@ def cmd_discover(args) -> int:
     _check_keys(raw, _TOP_KEYS, "run config")
     problem = Problem.parse(raw.get("problem", "cvrp"))
     discovery_cfg = dict(raw.get("discovery", {}))
-    _check_keys(discovery_cfg, _DISCOVERY_KEYS, "discovery")
+    _check_keys(discovery_cfg, {f.name for f in dataclasses.fields(DiscoveryConfig)}, "discovery")
     discovery_cfg["problem"] = problem.value
     config = DiscoveryConfig(**discovery_cfg)
     config.check()

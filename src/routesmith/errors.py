@@ -33,10 +33,6 @@ class OperatorProtocolError(RoutesmithError):
     """An operator returned something that cannot be sanitized at all."""
 
 
-class OperatorFailure(RoutesmithError):
-    """An operator crashed or violated its protocol during an LNS run."""
-
-
 class RenderError(RoutesmithError):
     """Prompt rendering failed, typically a missing binding."""
 

@@ -219,10 +219,12 @@ _warmed = False
 
 
 def warm_kernels() -> None:
-    """Compile/load the numba kernels once per process.
+    """Run every kernel once on a 3-customer instance per variant.
 
-    Called before the run clock starts so JIT latency never eats into a
-    search budget. Idempotent and cheap after the first call.
+    With numba this compiles the kernels or loads them from its cache;
+    calling it before the run clock starts keeps JIT latency out of every
+    search budget. Without numba there is nothing to compile and the call
+    takes about a millisecond. Only the first call per process does work.
     """
     global _warmed
     if _warmed:

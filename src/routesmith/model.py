@@ -9,7 +9,7 @@ The three supported variants share one representation:
 
 ``Solution`` keeps its state in flat numpy arrays (padded tour rows plus
 per-tour demand/cost caches and, for VRPTW, earliest/latest service-start
-rows) so the compiled kernels in ``_kernels`` can run directly on it.
+rows) so the kernels in ``_kernels`` can run directly on it.
 Convenience views (``tours``, ``unassigned``) are materialized on access.
 """
 
@@ -334,10 +334,6 @@ class Solution:
         """Cached objective: travel cost plus forfeited prizes (PCVRP)."""
         return self._total_cost + self._prize_penalty
 
-    @property
-    def is_complete(self) -> bool:
-        return self.num_unassigned == 0
-
     def tour_customers(self, t: int) -> list[int]:
         if t < 0 or t >= self.n_tours:
             raise InputError(f"tour index out of range: {t}")
@@ -512,8 +508,8 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
     downstream time window would be violated. For PCVRP the customer's
     prize is subtracted (serving recoups the forfeited prize).
 
-    This mirrors the compiled greedy-insertion scan bit for bit; see
-    ``_kernels.greedy_insert``.
+    This mirrors the greedy-insertion scan bit for bit; see
+    ``_kernels.greedy_insert_scalar``.
     """
     inst = solution.instance
     n = inst.num_customers

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from routesmith import discovery
 from routesmith.cli import main
+from routesmith.errors import ConfigError
 from routesmith.instances import verify_manifest
 
 
@@ -156,6 +159,25 @@ class TestDiscover:
         cfg_path.write_text(json.dumps(cfg))
         rc = run_cli("discover", "--config", cfg_path, "--out", tmp_path / "bad-run")
         assert rc == 2
+
+    def test_config_keys_follow_the_dataclass(self, gen_dir, tmp_path, monkeypatch):
+        seen = []
+
+        @dataclasses.dataclass
+        class Extended(discovery.DiscoveryConfig):
+            extra_knob: int = 0
+
+            def check(self):
+                seen.append(self.extra_knob)
+                raise ConfigError("stop once the config is built")
+
+        monkeypatch.setattr(discovery, "DiscoveryConfig", Extended)
+        cfg = discover_config(gen_dir)
+        cfg["discovery"]["extra_knob"] = 7
+        cfg_path = tmp_path / "extended.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli("discover", "--config", cfg_path, "--out", tmp_path / "extended-run") == 2
+        assert seen == [7]
 
     def test_http_provider_without_credentials_is_config_error(self, gen_dir, tmp_path, monkeypatch):
         monkeypatch.delenv("ROUTESMITH_LLM_ENDPOINT", raising=False)
