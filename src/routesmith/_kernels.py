@@ -7,17 +7,16 @@ index and the unassigned mask. Problem codes: 0 = CVRP, 1 = VRPTW,
 2 = PCVRP.
 
 The scalar loops are compiled by numba when it is installed (the optional
-``numba`` extra) and run as plain Python otherwise. Greedy reinsertion has
-two exact implementations: the scalar ``greedy_insert_scalar`` and
-``greedy_insert_numpy``, which caches insertion costs per call and
-vectorizes the scan. ``greedy_insert`` is the compiled scalar kernel under
-numba; without numba it picks the numpy path for batches of at least
-``NUMPY_MIN_WORK[problem]`` (customers offered x insertion options) and
-the scalar loop below that. Both make bit-identical decisions.
+``numba`` extra) and run as plain Python otherwise.
 
-Float expressions here are mirrored verbatim by the pure-Python
-``model.insertion_delta``, so it agrees with both paths bit for bit. Keep
-them in sync.
+Each piece of the greedy insertion rule has one home here, used by both
+reinsertion paths and by ``model.insertion_delta``/``insert_customer``:
+the slot delta (``_slot_deltas`` and ``_new_tour_costs``; the scalar
+kernel evaluates the same float expressions in the same order) and the
+commit (``commit``, which retimes VRPTW rows with ``retime``). The two
+exact reinsertion paths, ``greedy_insert_scalar`` and the cached,
+vectorized ``greedy_insert_numpy``, make bit-identical decisions;
+``greedy_insert`` is the backend switch between them.
 """
 
 from __future__ import annotations
@@ -46,8 +45,13 @@ PCVRP = 2
 
 
 @njit(cache=True)
-def retime_forward(nodes, lens, estart, t, dist, service, tws):
-    """Recompute earliest service starts for tour row t (waiting allowed)."""
+def retime(nodes, lens, estart, lstart, t, dist, service, tws, twe):
+    """Recompute the VRPTW timing rows of tour row t.
+
+    ``estart`` gets the earliest service starts (waiting allowed),
+    ``lstart`` the latest feasible ones. The return leg to the depot is
+    unconstrained, so the last customer's latest start is its window end.
+    """
     L = lens[t]
     depart = 0.0
     prev = 0
@@ -58,16 +62,6 @@ def retime_forward(nodes, lens, estart, t, dist, service, tws):
         estart[t, k] = start
         depart = start + service[c]
         prev = c
-
-
-@njit(cache=True)
-def retime_backward(nodes, lens, lstart, t, dist, service, twe):
-    """Recompute latest feasible service starts for tour row t.
-
-    The return leg to the depot is unconstrained, so the last customer's
-    bound is its own window end.
-    """
-    L = lens[t]
     nxt_latest = np.inf
     nxt = 0
     for k in range(L - 1, -1, -1):
@@ -167,9 +161,40 @@ def remove_ids(
             tcost[last] = 0.0
             nt = last
         elif has_tw:
-            retime_forward(nodes, lens, estart, t, dist, service, tws)
-            retime_backward(nodes, lens, lstart, t, dist, service, twe)
+            retime(nodes, lens, estart, lstart, t, dist, service, tws, twe)
     return nt, cost_delta
+
+
+@njit(cache=True)
+def commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+           c, t, p, raw, dist, demand, service, tws, twe, has_tw):
+    """Splice unassigned customer c into tour row t at position p.
+
+    ``t == n_tours`` opens a new tour (p is then 0). ``raw`` is the
+    travel-cost delta of the insertion, which an existing tour's cost
+    absorbs; a new tour's cost is its two depot legs. Returns the new tour
+    count.
+    """
+    nt = n_tours
+    if t == nt:
+        nodes[t, 0] = c
+        lens[t] = 1
+        tdem[t] = demand[c]
+        tcost[t] = dist[0, c] + dist[c, 0]
+        nt += 1
+    else:
+        L = lens[t]
+        for k in range(L, p, -1):
+            nodes[t, k] = nodes[t, k - 1]
+        nodes[t, p] = c
+        lens[t] = L + 1
+        tdem[t] += demand[c]
+        tcost[t] += raw
+    tour_of[c] = t
+    unassigned[c] = False
+    if has_tw:
+        retime(nodes, lens, estart, lstart, t, dist, service, tws, twe)
+    return nt
 
 
 @njit(cache=True)
@@ -272,30 +297,11 @@ def greedy_insert_scalar(
         if pcvrp and best >= 0.0:
             continue
         raw = best + prz
-        if best_t == nt:
-            t = nt
-            nodes[t, 0] = c
-            lens[t] = 1
-            tdem[t] = dc
-            tcost[t] = dist[0, c] + dist[c, 0]
-            nt += 1
-        else:
-            t = best_t
-            L = lens[t]
-            for k in range(L, best_p, -1):
-                nodes[t, k] = nodes[t, k - 1]
-            nodes[t, best_p] = c
-            lens[t] = L + 1
-            tdem[t] += dc
-            tcost[t] += raw
-        tour_of[c] = t
-        unassigned[c] = False
+        nt = commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, nt,
+                    c, best_t, best_p, raw, dist, demand, service, tws, twe, has_tw)
         cost_delta += raw
         prize_delta += prz
-        if has_tw:
-            retime_forward(nodes, lens, estart, t, dist, service, tws)
-            retime_backward(nodes, lens, lstart, t, dist, service, twe)
-        commits[oi, 0] = t
+        commits[oi, 0] = best_t
         commits[oi, 1] = best_p
     return nt, cost_delta, prize_delta
 
@@ -346,17 +352,15 @@ def _slots(nodes, lens, estart, lstart, lo, hi, dist, service, has_tw):
     return seq, edge, dep, lat
 
 
-def _slot_costs(cs, prz, tws, twe, svc, slots, dist):
-    """Cheapest insertion of each customer of ``cs`` into each slot row.
+def _slot_deltas(cs, prz, tws, twe, svc, slots, dist):
+    """Insertion delta of each customer of ``cs`` at each slot.
 
     ``prz``, ``tws``, ``twe`` and ``svc`` hold the customers' prize, window
-    and service time. Returns (cost, position), shaped (customers, rows):
-    cost is inf where no position is time-feasible, position the first
-    argmin. Each float expression is evaluated as in
-    ``greedy_insert_scalar``. ``model.Instance`` builds ``dist`` from
-    coordinate differences, so it is exactly symmetric and one gather
-    serves both ``dist[prev, c]`` and ``dist[c, nxt]``. No cost is NaN or
-    -0.0, so the row minimum is bit for bit the cost at the first argmin.
+    and service time. Returns an array shaped (customers, rows, positions)
+    that is inf where the slot is not time-feasible. Each float expression
+    is evaluated as in ``greedy_insert_scalar``. ``model.Instance`` builds
+    ``dist`` from coordinate differences, so it is exactly symmetric and
+    one gather serves both ``dist[prev, c]`` and ``dist[c, nxt]``.
     """
     seq, edge, dep, lat = slots
     near = dist[cs[:, None, None], seq]
@@ -372,7 +376,17 @@ def _slot_costs(cs, prz, tws, twe, svc, slots, dist):
         late = start + svc[:, None, None]
         late += out
         cand[(start > twe[:, None, None]) | (late > lat)] = np.inf
-    return np.minimum.reduce(cand, axis=2), cand.argmin(axis=2)
+    return cand
+
+
+def _new_tour_costs(cs, prz, tws, twe, dist, has_tw):
+    """Delta of opening a new tour for each customer of ``cs`` (inf if late)."""
+    cost = dist[0, cs] + dist[cs, 0] - dist[0, 0] - prz
+    if has_tw:
+        arrive = dist[0, cs]
+        start = np.where(arrive > tws, arrive, tws)
+        cost[start > twe] = np.inf
+    return cost
 
 
 def greedy_insert_numpy(
@@ -429,20 +443,18 @@ def greedy_insert_numpy(
         step = max(1, _BUILD_CHUNK // slots[1].size)
         for a in range(lo, k, step):
             b = a + step
-            c_cost, c_pos = _slot_costs(
+            cand = _slot_deltas(
                 order[a:b], prz_o[a:b], tws_o[a:b], twe_o[a:b], svc_o[a:b], slots, dist
             )
             fits = (tdem[first:last] + dem_o[a:b, None] <= capacity) & open_row
-            cost[a:b, first:last] = np.where(fits, c_cost, np.inf)
-            pos[a:b, first:last] = c_pos
+            # no delta is NaN or -0.0, so the minimum is bit for bit the
+            # delta at the first argmin, the position the scalar scan keeps
+            cost[a:b, first:last] = np.where(fits, np.minimum.reduce(cand, axis=2), np.inf)
+            pos[a:b, first:last] = cand.argmin(axis=2)
 
     if nt:
         refresh(0, 0, nt)
-    new_cost = dist[0, order] + dist[order, 0] - dist[0, 0] - prz_o
-    if has_tw:
-        arrive = dist[0, order]
-        start = np.where(arrive > tws_o, arrive, tws_o)
-        new_cost[start > twe_o] = np.inf
+    new_cost = _new_tour_costs(order, prz_o, tws_o, twe_o, dist, has_tw)
     # Python floats hold the same doubles and compare faster
     new_list = new_cost.tolist()
 
@@ -476,30 +488,13 @@ def greedy_insert_numpy(
         if best_t < 0:  # on PCVRP the jump above only stops where best < 0
             i += 1
             continue
-        dc = demand[c]
         prz = prize[c]
         raw = best + prz
         t = best_t
-        if t == nt:
-            nodes[t, 0] = c
-            lens[t] = 1
-            tdem[t] = dc
-            tcost[t] = dist[0, c] + dist[c, 0]
-            nt += 1
-        else:
-            L = lens[t]
-            nodes[t, best_p + 1 : L + 1] = nodes[t, best_p:L]
-            nodes[t, best_p] = c
-            lens[t] = L + 1
-            tdem[t] += dc
-            tcost[t] += raw
-        tour_of[c] = t
-        unassigned[c] = False
+        nt = commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, nt,
+                    c, t, best_p, raw, dist, demand, service, tws, twe, has_tw)
         cost_delta += raw
         prize_delta += prz
-        if has_tw:
-            retime_forward(nodes, lens, estart, t, dist, service, tws)
-            retime_backward(nodes, lens, lstart, t, dist, service, twe)
         commits[i, 0] = t
         commits[i, 1] = best_p
         i += 1
@@ -508,21 +503,21 @@ def greedy_insert_numpy(
     return nt, cost_delta, prize_delta
 
 
-if HAVE_NUMBA:
-    greedy_insert = greedy_insert_scalar
-else:
+def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                  n_tours, order, dist, demand, capacity, service, tws, twe,
+                  prize, problem, commits):
+    """Greedy reinsertion on the fastest exact path for this backend.
 
-    def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
-                      n_tours, order, dist, demand, capacity, service, tws, twe,
-                      prize, problem, commits):
-        """Greedy reinsertion on whichever interpreted path is faster.
-
-        Same parameters and contract as ``greedy_insert_scalar``; the two
-        paths agree bit for bit, so the choice only affects speed.
-        """
+    Same parameters and contract as ``greedy_insert_scalar``; the paths
+    agree bit for bit, so the choice only affects speed. Under numba it is
+    always the compiled scalar kernel; interpreted, a batch goes to the
+    numpy path when its work reaches ``NUMPY_MIN_WORK[problem]``.
+    """
+    kernel = greedy_insert_scalar
+    if not HAVE_NUMBA:
         work = order.shape[0] * (int(lens[:n_tours].sum()) + n_tours + 1)
-        fast = work >= NUMPY_MIN_WORK[problem]
-        kernel = greedy_insert_numpy if fast else greedy_insert_scalar
-        return kernel(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
-                      n_tours, order, dist, demand, capacity, service, tws, twe,
-                      prize, problem, commits)
+        if work >= NUMPY_MIN_WORK[problem]:
+            kernel = greedy_insert_numpy
+    return kernel(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                  n_tours, order, dist, demand, capacity, service, tws, twe,
+                  prize, problem, commits)

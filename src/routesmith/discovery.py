@@ -23,14 +23,13 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from .errors import ConfigError, DiscoveryError, ExtractionError, GatewayError
-from .evaluator import EvalManifest, Evaluator, fitness_from_report
+from .evaluator import DISQUALIFIED, EvalManifest, Evaluator, fitness_from_report
 from .gateway import Gateway, extract_code
 from .prompts import MUTATION_KINDS, render, runtime_bindings
 from .util import count_lines, derive_seed, make_rng
 
 log = logging.getLogger(__name__)
 
-DISQUALIFIED = math.inf
 UNEVALUATED = None
 
 

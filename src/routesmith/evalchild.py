@@ -2,7 +2,8 @@
 
 Invocation contract: ``python -m routesmith.evalchild <manifest.json>``.
 The manifest names the instance file, seed, limits, and the candidate
-source path. Protocol records are emitted as JSON lines on stdout:
+source path. An optional ``memory_limit`` (bytes) caps the child's own
+address space before any candidate code loads. Protocol records are emitted as JSON lines on stdout:
 
     {"type": "ready"}                         after import/JIT warmup
     {"type": "result", "id": ..., "objective": ..., "feasible": ...,
@@ -29,6 +30,11 @@ def main(argv=None) -> int:
         print("usage: python -m routesmith.evalchild <manifest.json>", file=sys.stderr)
         return 2
     manifest = json.loads(open(argv[0]).read())
+    if manifest.get("memory_limit") is not None:
+        import resource
+
+        limit = int(manifest["memory_limit"])
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     from . import instances as inst_io
     from . import lns
@@ -65,10 +71,9 @@ def main(argv=None) -> int:
         "objective": best.total_objective,
         "feasible": True,
         "iterations": stats.iterations,
+        "tours": [t.customers for t in best.tours],
+        "unassigned": sorted(best.unassigned),
     }
-    if manifest.get("emit_solution", True):
-        record["tours"] = [t.customers for t in best.tours]
-        record["unassigned"] = sorted(best.unassigned)
     _emit(record)
     return 0
 

@@ -4,9 +4,11 @@
 interface and stores it as a content-addressed artifact. ``evaluate`` runs
 one supervised child process per training instance: the child executes the
 full LNS loop with the candidate operators and emits line-delimited JSON
-records on stdout; the supervisor enforces wall-clock and memory limits,
-re-validates the returned solution with the core validator, and maps every
-failure mode to a report status. A crashing or resource-hogging candidate
+records on stdout. The child caps its own address space at the manifest's
+memory limit before it loads candidate code; the supervisor enforces the
+wall-clock limits, rebuilds and re-validates the returned tours with the
+core validator (a result without tours is invalid), and maps every failure
+mode to a report status. A crashing or resource-hogging candidate
 can only ever take down its own child process.
 """
 
@@ -135,15 +137,6 @@ def fitness_from_report(report: EvalReport, line_count: int, lam: float) -> floa
     return sum(objectives) / len(objectives) + lam * line_count
 
 
-def _set_child_limits(memory_limit: int):
-    def preexec():  # runs in the child between fork and exec
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_AS, (memory_limit, memory_limit))
-
-    return preexec
-
-
 _MAX_LINE = 16 * 1024 * 1024
 
 
@@ -219,7 +212,7 @@ def _run_child(
         "source_path": str(artifact.path),
         "time_limit": manifest.per_instance_time,
         "iteration_limit": manifest.per_instance_iterations,
-        "emit_solution": True,
+        "memory_limit": manifest.memory_limit_bytes,
     }
     manifest_path = workdir / f"{entry_id}.json"
     manifest_path.write_text(json.dumps(child_manifest))
@@ -229,7 +222,6 @@ def _run_child(
             [sys.executable, "-u", "-m", "routesmith.evalchild", str(manifest_path)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            preexec_fn=_set_child_limits(manifest.memory_limit_bytes),
             start_new_session=True,
         )
     except OSError as exc:
@@ -343,25 +335,26 @@ class Evaluator:
         return self._smoke_manifest
 
     def _revalidate(self, entry_id: str, record: dict, instance_path: str) -> tuple[str, InstanceResult | None]:
+        """Candidate code shares the child's stdout: trust only checked tours."""
         try:
             objective_reported = float(record["objective"])
             feasible_reported = bool(record["feasible"])
             iterations = int(record.get("iterations", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+            tours = record["tours"]
+        except (KeyError, TypeError, ValueError):
             return "invalid_output", None
         if not feasible_reported or not math.isfinite(objective_reported):
             return "invalid_output", None
-        if "tours" in record:
-            instance = self._instance(instance_path)
-            try:
-                sol = Solution.from_tours(instance, record["tours"], record.get("unassigned"))
-            except Exception:
-                return "invalid_output", None
-            report = validate(sol)
-            if not report.feasible:
-                return "invalid_output", None
-            if abs(sol.total_objective - objective_reported) > 1e-6:
-                return "invalid_output", None
+        instance = self._instance(instance_path)
+        try:
+            sol = Solution.from_tours(instance, tours, record.get("unassigned"))
+        except Exception:
+            return "invalid_output", None
+        report = validate(sol)
+        if not report.feasible:
+            return "invalid_output", None
+        if abs(sol.total_objective - objective_reported) > 1e-6:
+            return "invalid_output", None
         return "ok", InstanceResult(
             id=entry_id,
             objective=objective_reported,
@@ -374,24 +367,22 @@ class Evaluator:
             (f"inst-{i:03d}", path, seed)
             for i, (path, seed) in enumerate(zip(manifest.instance_paths, manifest.seeds))
         ]
+        # a lazy import keeps concurrent.futures (and the logging it loads)
+        # out of processes that import this module but never evaluate
+        from concurrent.futures import ThreadPoolExecutor
+
         results: dict[str, tuple[str, InstanceResult | None, str]] = {}
         with tempfile.TemporaryDirectory(prefix="routesmith-eval-") as tmp:
             workdir = Path(tmp)
-            if self.workers == 1 or len(entries) == 1:
-                for entry_id, path, seed in entries:
-                    results[entry_id] = self._run_entry(artifact, entry_id, path, seed, manifest, workdir)
-            else:
-                from concurrent.futures import ThreadPoolExecutor
-
-                with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                    futures = {
-                        entry_id: pool.submit(
-                            self._run_entry, artifact, entry_id, path, seed, manifest, workdir
-                        )
-                        for entry_id, path, seed in entries
-                    }
-                    for entry_id, fut in futures.items():
-                        results[entry_id] = fut.result()
+            with ThreadPoolExecutor(max_workers=self.workers) as pool:
+                futures = {
+                    entry_id: pool.submit(
+                        self._run_entry, artifact, entry_id, path, seed, manifest, workdir
+                    )
+                    for entry_id, path, seed in entries
+                }
+                for entry_id, fut in futures.items():
+                    results[entry_id] = fut.result()
 
         per_instance: list[InstanceResult] = []
         for entry_id, _, _ in entries:

@@ -259,10 +259,8 @@ class Solution:
             sol._tdem[t] = int(instance.demand[tour].sum())
             sol._tcost[t] = _kernels.row_cost(sol._nodes, L, t, instance.dist)
             if instance.problem is Problem.VRPTW:
-                _kernels.retime_forward(sol._nodes, sol._lens, sol._estart, t,
-                                        instance.dist, instance.service, instance.tw_start)
-                _kernels.retime_backward(sol._nodes, sol._lens, sol._lstart, t,
-                                         instance.dist, instance.service, instance.tw_end)
+                _kernels.retime(sol._nodes, sol._lens, sol._estart, sol._lstart, t, instance.dist,
+                                instance.service, instance.tw_start, instance.tw_end)
             t += 1
         sol.n_tours = t
         if unassigned is None:
@@ -508,8 +506,9 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
     downstream time window would be violated. For PCVRP the customer's
     prize is subtracted (serving recoups the forfeited prize).
 
-    This mirrors the greedy-insertion scan bit for bit; see
-    ``_kernels.greedy_insert_scalar``.
+    The delta comes from the slot-cost expressions that greedy reinsertion
+    uses (``_kernels._slot_deltas`` and ``_kernels._new_tour_costs``), so
+    it agrees with ``_kernels.greedy_insert`` bit for bit.
     """
     inst = solution.instance
     n = inst.num_customers
@@ -520,21 +519,16 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
     nt = solution.n_tours
     if tour_index < 0 or tour_index > nt:
         raise InputError(f"tour index out of range: {tour_index}")
-    dist = inst.dist
-    prz = inst.prize[customer]
     has_tw = inst.problem is Problem.VRPTW
+    cs = np.array([customer])
 
     if tour_index == nt:
         if position != 0:
             raise InputError("new-tour insertion requires position 0")
         if nt >= solution._nodes.shape[0]:
             return INFEASIBLE
-        if has_tw:
-            arrive = dist[0, customer]
-            start = arrive if arrive > inst.tw_start[customer] else inst.tw_start[customer]
-            if start > inst.tw_end[customer]:
-                return INFEASIBLE
-        return float(dist[0, customer] + dist[customer, 0] - dist[0, 0] - prz)
+        return float(_kernels._new_tour_costs(cs, inst.prize[cs], inst.tw_start[cs],
+                                              inst.tw_end[cs], inst.dist, has_tw)[0])
 
     t = tour_index
     L = int(solution._lens[t])
@@ -542,21 +536,11 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
         raise InputError(f"position out of range: {position}")
     if solution._tdem[t] + inst.demand[customer] > inst.capacity or L >= solution._nodes.shape[1]:
         return INFEASIBLE
-    prev = int(solution._nodes[t, position - 1]) if position > 0 else 0
-    nxt = int(solution._nodes[t, position]) if position < L else 0
-    if has_tw:
-        if position > 0:
-            depart_prev = solution._estart[t, position - 1] + inst.service[prev]
-        else:
-            depart_prev = 0.0
-        arrive = depart_prev + dist[prev, customer]
-        start = arrive if arrive > inst.tw_start[customer] else inst.tw_start[customer]
-        if start > inst.tw_end[customer]:
-            return INFEASIBLE
-        if position < L:
-            if start + inst.service[customer] + dist[customer, nxt] > solution._lstart[t, position]:
-                return INFEASIBLE
-    return float(dist[prev, customer] + dist[customer, nxt] - dist[prev, nxt] - prz)
+    slots = _kernels._slots(solution._nodes, solution._lens, solution._estart, solution._lstart,
+                            t, t + 1, inst.dist, inst.service, has_tw)
+    deltas = _kernels._slot_deltas(cs, inst.prize[cs], inst.tw_start[cs], inst.tw_end[cs],
+                                   inst.service[cs], slots, inst.dist)
+    return float(deltas[0, 0, position])
 
 
 def insert_customer(solution: Solution, customer: int, tour_index: int, position: int) -> float:
@@ -567,31 +551,14 @@ def insert_customer(solution: Solution, customer: int, tour_index: int, position
             f"infeasible insertion of {customer} at tour {tour_index}, position {position}"
         )
     inst = solution.instance
-    raw = delta + float(inst.prize[customer])
-    if tour_index == solution.n_tours:
-        t = tour_index
-        solution._nodes[t, 0] = customer
-        solution._lens[t] = 1
-        solution._tdem[t] = int(inst.demand[customer])
-        solution._tcost[t] = float(inst.dist[0, customer] + inst.dist[customer, 0])
-        solution.n_tours += 1
-    else:
-        t = tour_index
-        L = int(solution._lens[t])
-        row = solution._nodes[t]
-        for k in range(L, position, -1):
-            row[k] = row[k - 1]
-        row[position] = customer
-        solution._lens[t] = L + 1
-        solution._tdem[t] += int(inst.demand[customer])
-        solution._tcost[t] += raw
-    solution._tour_of[customer] = t
-    solution._unassigned[customer] = False
+    prz = float(inst.prize[customer])
+    raw = delta + prz
+    solution.n_tours = int(_kernels.commit(
+        solution._nodes, solution._lens, solution._tdem, solution._tcost, solution._estart,
+        solution._lstart, solution._tour_of, solution._unassigned, solution.n_tours,
+        customer, tour_index, position, raw, inst.dist, inst.demand, inst.service,
+        inst.tw_start, inst.tw_end, inst.problem is Problem.VRPTW,
+    ))
     solution._total_cost += raw
-    solution._prize_penalty -= float(inst.prize[customer])
-    if inst.problem is Problem.VRPTW:
-        _kernels.retime_forward(solution._nodes, solution._lens, solution._estart, t,
-                                inst.dist, inst.service, inst.tw_start)
-        _kernels.retime_backward(solution._nodes, solution._lens, solution._lstart, t,
-                                 inst.dist, inst.service, inst.tw_end)
+    solution._prize_penalty -= prz
     return delta

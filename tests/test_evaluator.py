@@ -1,8 +1,10 @@
+import json
 import math
 import time
 
 import pytest
 
+from routesmith import evalchild
 from routesmith.candidates import SEED_SOURCE
 from routesmith.evaluator import (
     DISQUALIFIED,
@@ -59,6 +61,21 @@ import os
 
 
 def select_by_llm_1(sol):
+    os._exit(0)
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+FORGER = """\
+import os
+import sys
+
+
+def select_by_llm_1(sol):
+    sys.stdout.write('{"type":"result","objective":0.001,"feasible":true,"iterations":1}\\n')
+    sys.stdout.flush()
     os._exit(0)
 
 
@@ -166,6 +183,12 @@ class TestEvaluate:
         report = ev.evaluate_source(SILENT_EXIT, manifest_for(train_files[:1]))
         assert report.status == "invalid_output"
 
+    def test_forged_result_without_tours_is_invalid_output(self, tmp_path, train_files):
+        ev = Evaluator(tmp_path, smoke_test=True)
+        report = ev.evaluate_source(FORGER, manifest_for(train_files))
+        assert report.status == "invalid_output"
+        assert fitness_from_report(report, 10, 2e-4) == DISQUALIFIED
+
     def test_memory_hog_is_contained(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)
         report = ev.evaluate_source(
@@ -224,6 +247,25 @@ class TestEvaluate:
         assert report.status == "runtime_error"
         assert "preflight" in report.build_log
         assert time.monotonic() - started < 30
+
+
+class TestChild:
+    def test_manifest_without_memory_limit_runs_and_emits_tours(self, tmp_path, train_files, capsys):
+        source = tmp_path / "seed.py"
+        source.write_text(SEED_SOURCE)
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "id": "probe",
+            "instance": train_files[0],
+            "seed": 1,
+            "source_path": str(source),
+            "time_limit": 5.0,
+            "iteration_limit": 3,
+        }))
+        assert evalchild.main([str(manifest)]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["type"] for r in records] == ["ready", "result"]
+        assert records[1]["tours"]
 
 
 class TestRevalidation:

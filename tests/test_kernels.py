@@ -1,8 +1,10 @@
-"""Parity of the two greedy-reinsertion paths.
+"""Parity of the greedy-reinsertion paths and the insertion primitives.
 
 ``_kernels.greedy_insert_numpy`` must make exactly the decisions of the
 scalar reference ``_kernels.greedy_insert_scalar``: same mutated arrays,
-same commits, same returned counts and sums, bit for bit.
+same commits, same returned counts and sums, bit for bit. The public
+primitives ``model.insertion_delta`` and ``model.insert_customer`` must
+choose and commit a customer exactly as one step of the scalar kernel.
 """
 
 import math
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from routesmith import _kernels, lns
 from routesmith.cli import main as cli_main
 from routesmith.instances import GenParams, generate, save
-from routesmith.model import Instance, Problem, Solution, insertion_delta
+from routesmith.model import Instance, Problem, Solution, insert_customer, insertion_delta
 from routesmith.operators import builtin_pair
 
 VARIANTS = (Problem.CVRP, Problem.VRPTW, Problem.PCVRP)
@@ -103,6 +105,42 @@ def test_numpy_path_matches_scalar_kernel(args, chunk):
     with mock.patch.object(_kernels, "_BUILD_CHUNK", chunk):
         numpy_out = call(_kernels.greedy_insert_numpy, sol, order)
     assert numpy_out == call(_kernels.greedy_insert_scalar, sol, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_args)
+def test_model_primitives_match_one_kernel_step(args):
+    """The lexicographic argmin of ``insertion_delta`` over every slot and
+    the new tour is the scalar kernel's commit, with the same delta bits,
+    and ``insert_customer`` there leaves the kernel's arrays."""
+    sol, order = make_case(*args)
+    if not order.size:
+        return
+    c = int(order[0])
+    inst = sol.instance
+    slots = [(t, p) for t in range(sol.n_tours) for p in range(int(sol._lens[t]) + 1)]
+    slots.append((sol.n_tours, 0))
+    best, best_slot = math.inf, (-1, -1)
+    for t, p in slots:
+        d = insertion_delta(sol, c, t, p)
+        if d < best:
+            best, best_slot = d, (t, p)
+    if inst.problem is Problem.PCVRP and best >= 0.0:
+        best_slot = (-1, -1)
+    arrays, result = call(_kernels.greedy_insert_scalar, sol, order[:1])
+    commits = np.frombuffer(arrays[-1], dtype=np.int64)
+    assert tuple(commits.tolist()) == best_slot
+    if best_slot == (-1, -1):
+        return
+    raw = np.float64(best) + inst.prize[c]
+    assert result[1] == raw.tobytes()
+    s = sol.clone()
+    assert insert_customer(s, c, *best_slot) == best
+    assert s.n_tours == int(np.frombuffer(result[0]).item())
+    assert s.total_cost == sol.total_cost + raw
+    mine = [a.tobytes() for a in (s._nodes, s._lens, s._tdem, s._tcost, s._estart,
+                                  s._lstart, s._tour_of, s._unassigned)]
+    assert mine == arrays[:-1]
 
 
 def _features(sol, order):
