@@ -11,11 +11,13 @@ The scalar loops are compiled by numba when it is installed (the optional
 
 Each piece of the greedy insertion rule has one home here, used by both
 reinsertion paths and by ``model.insertion_delta``/``insert_customer``:
-the slot delta (``_slot_deltas`` and ``_new_tour_costs``; the scalar
-kernel evaluates the same float expressions in the same order) and the
-commit (``commit``, which retimes VRPTW rows with ``retime``). The two
-exact reinsertion paths, ``greedy_insert_scalar`` and the cached,
-vectorized ``greedy_insert_numpy``, make bit-identical decisions;
+the slot delta (``_slot_table`` lists the insertion slots of tours,
+``_slot_deltas`` prices customers at them and ``_new_tour_costs`` prices
+a new tour; the scalar kernel evaluates the same float expressions in the
+same order) and the commit (``commit``, which retimes VRPTW rows with
+``retime``). The two exact reinsertion paths, ``greedy_insert_scalar``
+and ``greedy_insert_numpy``, which scans one slot table per call and
+splices it in place at each commit, make bit-identical decisions;
 ``greedy_insert`` is the backend switch between them.
 """
 
@@ -306,8 +308,8 @@ def greedy_insert_scalar(
     return nt, cost_delta, prize_delta
 
 
-# Elements of one (customers, tours, positions) temporary in the cache
-# build; customers go in chunks so that peak memory stays flat.
+# Elements of one (customers, slots) temporary in the PCVRP block scan;
+# customers go in blocks so that peak memory stays flat.
 _BUILD_CHUNK = 1 << 14
 
 # Without numba, greedy_insert sends a batch to the numpy path when its
@@ -315,67 +317,83 @@ _BUILD_CHUNK = 1 << 14
 # + 1), reaches the bound for its problem code; smaller batches go to the
 # scalar loop, whose lower per-call overhead wins there. PCVRP batches
 # mostly skip customers, which the numpy path passes over in one step, so
-# it wins at every size. Set from timing both paths on LNS repair batches
-# (CHANGES.md).
+# it wins at every size. Set from timing both paths on LNS repair batches;
+# lower CVRP and VRPTW bounds that time better there gave discover-n50 no
+# measurable gain (CHANGES.md).
 NUMPY_MIN_WORK = (1024, 400, 0)  # CVRP, VRPTW, PCVRP
 
 
-def _slots(nodes, lens, estart, lstart, lo, hi, dist, service, has_tw):
-    """Insertion slots of tour rows lo..hi-1, one column per position.
+def _slot_table(nodes, lens, tdem, estart, lstart, lo, hi, spare, dist, service,
+                capacity, has_tw):
+    """Insertion slots of tour rows lo..hi-1: (ints, flts, slot count).
 
-    ``seq`` holds each row as depot, customers, depot (zero-padded), so
-    position p lies between ``seq[:, p]`` and ``seq[:, p + 1]`` and removes
-    ``edge[:, p]``. Columns past a row's end get edge -inf, so every
-    insertion cost computed there reads +inf. For VRPTW, ``dep`` is the
-    departure time from the node before the slot and ``lat`` the latest
-    start at the node after it (inf on the return leg).
+    Columns run in (tour, position) order, the scalar scan's; position p
+    lies between a tour's node p-1 and node p, the depot closing both
+    ends. Integer rows: prev node, tour row, and the tour's spare capacity
+    (-1 at the width bound). A slot's next node is the prev node of the
+    column after it, since consecutive tours meet at the depot and a
+    closing column of node 0 follows the last slot. Float rows: the
+    prev-next edge length and, for VRPTW, the departure from the prev node
+    and the latest start at the next one (inf on the return leg). The
+    ``spare`` columns left for splicing hold node 0, departure 0 and
+    latest start inf, as a new tour's ends do.
     """
     L = lens[lo:hi]
-    P = int(L.max() if hi - lo > 1 else L[0]) + 1
-    seq = np.zeros((hi - lo, P + 1), dtype=np.int64)
-    seq[:, 1:P] = nodes[lo:hi, : P - 1]
-    past = None
-    if hi - lo > 1:  # a single row has no padding
-        past = np.arange(P) >= L[:, None]
-        seq[:, 1:][past] = 0
-    edge = dist[seq[:, :-1], seq[:, 1:]]
-    if past is not None:
-        edge[:, 1:][past[:, :-1]] = -np.inf
-    if not has_tw:
-        return seq, edge, None, None
-    dep = np.zeros(edge.shape)
-    dep[:, 1:] = estart[lo:hi, : P - 1] + service[seq[:, 1:P]]
-    lat = np.full(edge.shape, np.inf)
-    lat[:, :-1] = lstart[lo:hi, : P - 1]
-    if past is not None:
-        lat[past] = np.inf
-    return seq, edge, dep, lat
+    S = int(L.sum()) + hi - lo
+    ints = np.zeros((3, S + 1 + spare), dtype=np.int64)
+    flts = np.zeros((3 if has_tw else 1, S + 1 + spare))
+    cust = nodes[lo:hi][np.arange(nodes.shape[1]) < L[:, None]]
+    # the q-th customer listed is the prev node of column q + 1 + its tour's index
+    at = np.arange(1, cust.size + 1) + np.arange(hi - lo).repeat(L)
+    seq = ints[0]
+    seq[at] = cust
+    ints[1, :S] = np.arange(lo, hi).repeat(L + 1)
+    ints[2, :S] = np.where(L < nodes.shape[1], capacity - tdem[lo:hi], -1).repeat(L + 1)
+    flts[0, :S] = dist[seq[:S], seq[1 : S + 1]]
+    if has_tw:
+        filled = np.arange(estart.shape[1]) < L[:, None]
+        flts[1, at] = estart[lo:hi][filled] + service[cust]
+        flts[2] = np.inf
+        flts[2, at - 1] = lstart[lo:hi][filled]
+    return ints, flts, S
 
 
-def _slot_deltas(cs, prz, tws, twe, svc, slots, dist):
-    """Insertion delta of each customer of ``cs`` at each slot.
+def _slot_deltas(dist, cs, ints, flts, S, dem, prz, tws, twe, svc):
+    """Insertion deltas of customers ``cs`` at the first S slots of a table.
 
-    ``prz``, ``tws``, ``twe`` and ``svc`` hold the customers' prize, window
-    and service time. Returns an array shaped (customers, rows, positions)
-    that is inf where the slot is not time-feasible. Each float expression
-    is evaluated as in ``greedy_insert_scalar``. ``model.Instance`` builds
-    ``dist`` from coordinate differences, so it is exactly symmetric and
-    one gather serves both ``dist[prev, c]`` and ``dist[c, nxt]``.
+    ``cs`` is one customer, with demand, prize, window and service time as
+    scalars, or an array, with those as (customers, 1) columns; ``prz``
+    None subtracts no prize. Returns shape (S,) or (customers, S), inf
+    where capacity, the width bound or a time window fails, each float
+    expression evaluated as in ``greedy_insert_scalar``. ``model.Instance``
+    builds ``dist`` exactly symmetric, so dist[prev, c] is read as
+    dist[c, prev]: from the customer rows, or from the slot rows when the
+    customers outnumber the slots.
     """
-    seq, edge, dep, lat = slots
-    near = dist[cs[:, None, None], seq]
-    into = near[:, :, :-1]
-    out = near[:, :, 1:]
+    seq = ints[0, : S + 1]
+    if not isinstance(cs, np.ndarray):
+        near = dist[cs].take(seq)
+    elif cs.size <= S:
+        near = dist.take(cs, axis=0).take(seq, axis=1)
+    else:
+        near = dist.take(seq, axis=0).take(cs, axis=1).T
+    into = near[..., :-1]
+    out = near[..., 1:]
     cand = into + out
-    cand -= edge
-    cand -= prz[:, None, None]
-    if dep is not None:
-        t0 = tws[:, None, None]
-        arrive = dep + into
-        start = np.where(arrive > t0, arrive, t0)
-        late = start + svc[:, None, None]
+    cand -= flts[0, :S]
+    if prz is not None:
+        cand -= prz
+    bad = ints[2, :S] < dem
+    if flts.shape[0] > 1:
+        arrive = flts[1, :S] + into
+        # the scalar's ``arrive if arrive > tws else tws`` up to the sign
+        # of a zero, which no comparison below sees
+        start = np.maximum(arrive, tws)
+        late = start + svc
         late += out
-        cand[(start > twe[:, None, None]) | (late > lat)] = np.inf
+        bad |= late > flts[2, :S]
+        bad |= start > twe
+    cand[bad] = np.inf
     return cand
 
 
@@ -389,117 +407,99 @@ def _new_tour_costs(cs, prz, tws, twe, dist, has_tw):
     return cost
 
 
-def greedy_insert_numpy(
-    nodes,
-    lens,
-    tdem,
-    tcost,
-    estart,
-    lstart,
-    tour_of,
-    unassigned,
-    n_tours,
-    order,
-    dist,
-    demand,
-    capacity,
-    service,
-    tws,
-    twe,
-    prize,
-    problem,
-    commits,
-):
-    """``greedy_insert_scalar`` with an insertion-cost cache, in numpy.
+def greedy_insert_numpy(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                        n_tours, order, dist, demand, capacity, service, tws, twe,
+                        prize, problem, commits):
+    """``greedy_insert_scalar`` over a flat slot table, in numpy.
 
-    Same parameters, effects and return values, bit for bit. The call
-    first caches, for each customer of ``order`` and each tour, the
-    cheapest position and its delta (inf where capacity, the width bound
-    or a time window fails). A commit changes one tour, so only that
-    tour's column is recomputed, for the customers still to come. PCVRP
-    skips straight to the next customer whose best delta is negative.
+    Same parameters, effects and return values, bit for bit. Each
+    decision is one delta row over the ``_slot_table`` of the open tours;
+    its row-major argmin keeps the first minimum in (tour, position)
+    order, as the scalar scan does, and a new tour wins only on a strictly
+    smaller delta. A commit splices the table in place (the split slot
+    and the columns after it move up one, or a new tour appends two
+    slots), then refreshes the tour's spare capacity and VRPTW times.
+    CVRP and VRPTW scan one customer per step; PCVRP scans the remaining
+    ones in blocks and jumps to the first whose best delta is negative.
     """
     nt = n_tours
-    cost_delta = 0.0
-    prize_delta = 0.0
+    cost_delta = prize_delta = 0.0
     rows, width = nodes.shape
     has_tw = problem == 1
     pcvrp = problem == 2
     k = order.shape[0]
     commits[:] = -1
-    dem_o = demand[order]
-    prz_o = prize[order]
-    tws_o = tws[order]
-    twe_o = twe[order]
-    svc_o = service[order]
-    # at most k tours open during the call
-    cost = np.full((k, min(rows, nt + k)), np.inf)
-    pos = np.zeros(cost.shape, dtype=np.int64)
-
-    def refresh(lo, first, last):
-        """Recompute tours first..last-1 in the cache of order[lo:]."""
-        slots = _slots(nodes, lens, estart, lstart, first, last, dist, service, has_tw)
-        open_row = lens[first:last] < width
-        step = max(1, _BUILD_CHUNK // slots[1].size)
-        for a in range(lo, k, step):
-            b = a + step
-            cand = _slot_deltas(
-                order[a:b], prz_o[a:b], tws_o[a:b], twe_o[a:b], svc_o[a:b], slots, dist
-            )
-            fits = (tdem[first:last] + dem_o[a:b, None] <= capacity) & open_row
-            # no delta is NaN or -0.0, so the minimum is bit for bit the
-            # delta at the first argmin, the position the scalar scan keeps
-            cost[a:b, first:last] = np.where(fits, np.minimum.reduce(cand, axis=2), np.inf)
-            pos[a:b, first:last] = cand.argmin(axis=2)
-
-    if nt:
-        refresh(0, 0, nt)
-    new_cost = _new_tour_costs(order, prz_o, tws_o, twe_o, dist, has_tw)
-    # Python floats hold the same doubles and compare faster
-    new_list = new_cost.tolist()
+    # each commit adds at most two slots
+    ints, flts, S = _slot_table(nodes, lens, tdem, estart, lstart, 0, nt, 2 * k, dist,
+                                service, capacity, has_tw)
+    seq, tid, slack = ints
+    edge = flts[0]
+    new_cost = _new_tour_costs(order, prize[order], tws[order], twe[order], dist, has_tw)
+    dem_o = demand[order][:, None]
+    prz_o = prize[order][:, None]
 
     i = 0
     while i < k:
+        row = None
         if pcvrp:
-            best_rest = new_cost[i:] if nt < rows else np.full(k - i, np.inf)
-            if nt:
-                best_rest = np.minimum(np.minimum.reduce(cost[i:, :nt], axis=1), best_rest)
-            hits = np.flatnonzero((best_rest < 0.0) & unassigned[order[i:]])
+            b = min(k, i + max(1, _BUILD_CHUNK // max(S, 1)))
+            best_rows = new_cost[i:b] if nt < rows else np.full(b - i, np.inf)
+            if S:
+                block = _slot_deltas(dist, order[i:b], ints, flts, S, dem_o[i:b], prz_o[i:b],
+                                     None, None, None)
+                best_rows = np.minimum(block.min(axis=1), best_rows)
+            hits = np.flatnonzero((best_rows < 0.0) & unassigned[order[i:b]])
             if hits.size == 0:
-                break
-            i += int(hits[0])
-        c = order[i]
-        if not unassigned[c]:
+                i = b
+                continue
+            r = int(hits[0])
+            i += r
+            row = block[r] if S else None
+        elif not unassigned[order[i]]:
             i += 1
             continue
-        best = np.inf
-        best_t = -1
-        best_p = -1
-        if nt:
-            j = int(cost[i, :nt].argmin())
-            if cost.item(i, j) < best:
-                best = cost.item(i, j)
-                best_t = j
-                best_p = pos.item(i, j)
-        if nt < rows and new_list[i] < best:
-            best = new_list[i]
-            best_t = nt
-            best_p = 0
-        if best_t < 0:  # on PCVRP the jump above only stops where best < 0
+        elif S:
+            c = order.item(i)
+            # subtracting a zero prize changes no bit
+            row = _slot_deltas(dist, c, ints, flts, S, demand.item(c), prize.item(c) or None,
+                               tws.item(c), twe.item(c), service.item(c))
+        best, t = np.inf, -1
+        if row is not None:
+            j = int(row.argmin())
+            if row.item(j) < best:
+                best, t = row.item(j), tid.item(j)
+        if nt < rows and new_cost.item(i) < best:
+            best, t = new_cost.item(i), nt
+        if t < 0:  # on PCVRP the scan above only stops where best < 0
             i += 1
             continue
+        c = order.item(i)
         prz = prize[c]
         raw = best + prz
-        t = best_t
+        if t == nt:  # two slots for the new tour, after the last one
+            f0 = j = S
+            tid[S : S + 2] = t
+            S += 2
+        else:  # slot j becomes slots j and j + 1
+            f0 = int(tid[:S].searchsorted(t))
+            ints[:, j + 1 : S + 1] = ints[:, j:S]
+            flts[:, j + 1 : S + 1] = flts[:, j:S]
+            S += 1
+        p = j - f0
+        seq[j + 1] = c
+        edge[j] = dist[seq[j], c]
+        edge[j + 1] = dist[c, seq[j + 2]]
         nt = commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, nt,
-                    c, t, best_p, raw, dist, demand, service, tws, twe, has_tw)
+                    c, t, p, raw, dist, demand, service, tws, twe, has_tw)
+        L = lens[t]
+        slack[f0 : f0 + L + 1] = capacity - tdem[t] if L < width else -1
+        if has_tw:
+            flts[1, f0 + 1 : f0 + L + 1] = estart[t, :L] + service[nodes[t, :L]]
+            flts[2, f0 : f0 + L] = lstart[t, :L]
         cost_delta += raw
         prize_delta += prz
-        commits[i, 0] = t
-        commits[i, 1] = best_p
+        commits[i] = t, p
         i += 1
-        if i < k:
-            refresh(i, t, t + 1)
     return nt, cost_delta, prize_delta
 
 

@@ -506,9 +506,10 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
     downstream time window would be violated. For PCVRP the customer's
     prize is subtracted (serving recoups the forfeited prize).
 
-    The delta comes from the slot-cost expressions that greedy reinsertion
-    uses (``_kernels._slot_deltas`` and ``_kernels._new_tour_costs``), so
-    it agrees with ``_kernels.greedy_insert`` bit for bit.
+    The delta is read from the slot table and slot deltas that greedy
+    reinsertion scans (``_kernels._slot_table`` on the one tour,
+    ``_kernels._slot_deltas``, and ``_kernels._new_tour_costs`` for a new
+    tour), so it agrees with ``_kernels.greedy_insert`` bit for bit.
     """
     inst = solution.instance
     n = inst.num_customers
@@ -531,16 +532,15 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
                                               inst.tw_end[cs], inst.dist, has_tw)[0])
 
     t = tour_index
-    L = int(solution._lens[t])
-    if position < 0 or position > L:
+    if position < 0 or position > solution._lens[t]:
         raise InputError(f"position out of range: {position}")
-    if solution._tdem[t] + inst.demand[customer] > inst.capacity or L >= solution._nodes.shape[1]:
-        return INFEASIBLE
-    slots = _kernels._slots(solution._nodes, solution._lens, solution._estart, solution._lstart,
-                            t, t + 1, inst.dist, inst.service, has_tw)
-    deltas = _kernels._slot_deltas(cs, inst.prize[cs], inst.tw_start[cs], inst.tw_end[cs],
-                                   inst.service[cs], slots, inst.dist)
-    return float(deltas[0, 0, position])
+    table = _kernels._slot_table(solution._nodes, solution._lens, solution._tdem,
+                                 solution._estart, solution._lstart, t, t + 1, 0, inst.dist,
+                                 inst.service, inst.capacity, has_tw)
+    deltas = _kernels._slot_deltas(inst.dist, customer, *table, inst.demand[customer],
+                                   inst.prize[customer], inst.tw_start[customer],
+                                   inst.tw_end[customer], inst.service[customer])
+    return float(deltas[position])
 
 
 def insert_customer(solution: Solution, customer: int, tour_index: int, position: int) -> float:

@@ -93,6 +93,34 @@ def sort_by_llm_1(customers, instance):
     pass
 """
 
+MUTATOR = """\
+def select_by_llm_1(sol):
+    sol._tdem[:] = 0
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+# the seed candidate, after one line of non-protocol output at import
+CHATTY = 'print("hello from the candidate")\n' + SEED_SOURCE
+
+GARBAGE_EXIT = """\
+import os
+import sys
+
+
+def select_by_llm_1(sol):
+    sys.stdout.write("}{ not a record\\n")
+    sys.stdout.flush()
+    os._exit(0)
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
 FLOODER = """\
 import sys
 
@@ -188,6 +216,25 @@ class TestEvaluate:
         report = ev.evaluate_source(FORGER, manifest_for(train_files))
         assert report.status == "invalid_output"
         assert fitness_from_report(report, 10, 2e-4) == DISQUALIFIED
+
+    @pytest.mark.parametrize("smoke_test", [False, True])
+    def test_state_mutating_candidate_is_runtime_error(self, tmp_path, train_files, smoke_test):
+        ev = Evaluator(tmp_path, smoke_test=smoke_test)
+        report = ev.evaluate_source(MUTATOR, manifest_for(train_files))
+        assert report.status == "runtime_error"
+        assert "best solution infeasible" in report.build_log
+
+    def test_non_protocol_output_is_ignored(self, tmp_path, train_files):
+        m = manifest_for(train_files)
+        chatty = Evaluator(tmp_path / "a", smoke_test=False).evaluate_source(CHATTY, m)
+        seed = Evaluator(tmp_path / "b", smoke_test=False).evaluate_source(SEED_SOURCE, m)
+        assert chatty.status == "ok"
+        assert [r.objective for r in chatty.per_instance] == [r.objective for r in seed.per_instance]
+
+    def test_garbage_then_exit_is_invalid_output(self, tmp_path, train_files):
+        ev = Evaluator(tmp_path, smoke_test=False)
+        report = ev.evaluate_source(GARBAGE_EXIT, manifest_for(train_files[:1]))
+        assert report.status == "invalid_output"
 
     def test_memory_hog_is_contained(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)

@@ -100,11 +100,33 @@ case_args = st.tuples(
 @settings(max_examples=300, deadline=None)
 @given(case_args, st.integers(1, 64) | st.just(_kernels._BUILD_CHUNK))
 def test_numpy_path_matches_scalar_kernel(args, chunk):
-    """Small build chunks split the cache build across customer chunks."""
+    """Small chunks split the PCVRP block scan into many blocks."""
     sol, order = make_case(*args)
     with mock.patch.object(_kernels, "_BUILD_CHUNK", chunk):
         numpy_out = call(_kernels.greedy_insert_numpy, sol, order)
     assert numpy_out == call(_kernels.greedy_insert_scalar, sol, order)
+
+
+@pytest.mark.parametrize("problem", VARIANTS)
+def test_table_grows_by_splices_and_new_tours(problem):
+    """Five customers next to tour 0 splice into it up to its capacity,
+    each splice moving tour 1's slots; five far-off ones, two to a tour,
+    fill tour 1, open two new tours and splice into them, so the table
+    grows from 4 slots to 16."""
+    angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
+    near = np.c_[0.6 + 0.02 * np.cos(angles), 0.5 + 0.02 * np.sin(angles)]
+    far = [(0.05, 0.05), (0.06, 0.05), (0.95, 0.95), (0.94, 0.95), (0.05, 0.95), (0.95, 0.05)]
+    coords = np.vstack([(0.5, 0.5), near, far])
+    m = len(coords)
+    inst = Instance(problem, coords, [0] + [1] * 6 + [3] * 6, 6,
+                    service=[0.0] + [0.01] * (m - 1), tw_start=[0.0] * m,
+                    tw_end=[100.0] * m, prize=[0.0] + [10.0] * (m - 1))
+    sol = Solution.from_tours(inst, [[1], [7]])
+    order = np.array([2, 3, 4, 5, 6, 8, 9, 10, 11, 12], dtype=np.int64)
+    out = call(_kernels.greedy_insert_numpy, sol, order)
+    assert out == call(_kernels.greedy_insert_scalar, sol, order)
+    tours = np.frombuffer(out[0][-1], dtype=np.int64).reshape(-1, 2)[:, 0]
+    assert tours.tolist() == [0] * 5 + [1, 2, 2, 3, 3]
 
 
 @settings(max_examples=300, deadline=None)
