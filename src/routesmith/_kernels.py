@@ -6,47 +6,47 @@ All functions operate on the raw arrays owned by ``model.Solution``:
 index and the unassigned mask. Problem codes: 0 = CVRP, 1 = VRPTW,
 2 = PCVRP.
 
-The scalar loops are compiled by numba when it is installed (the optional
-``numba`` extra) and run as plain Python otherwise.
+Two backends run the detach (``remove_ids``) and greedy reinsertion
+(``greedy_insert``) kernels. The C backend is ``_kernels.c``, a port of
+``remove_ids_scalar`` and ``greedy_insert_scalar`` with the same float
+expressions in the same order, compiled by the system C compiler without
+contraction or fast-math into a per-user cache (``$XDG_CACHE_HOME`` or
+``~/.cache``, under ``routesmith/``) and loaded with ``ctypes``;
+``load_compiled`` selects it when it loads and agrees bit for bit with the
+Python kernels. Otherwise the interpreted backend runs the Python kernels.
+``BACKEND`` and ``BACKEND_REASON`` say which one runs and why.
 
 Each piece of the greedy insertion rule has one home here, used by both
-reinsertion paths and by ``model.insertion_delta``/``insert_customer``:
-the slot delta (``_slot_table`` lists the insertion slots of tours,
-``_slot_deltas`` prices customers at them and ``_new_tour_costs`` prices
-a new tour; the scalar kernel evaluates the same float expressions in the
-same order) and the commit (``commit``, which retimes VRPTW rows with
-``retime``). The two exact reinsertion paths, ``greedy_insert_scalar``
-and ``greedy_insert_numpy``, which scans one slot table per call and
-splices it in place at each commit, make bit-identical decisions;
-``greedy_insert`` is the backend switch between them.
+interpreted reinsertion paths and by ``model.insertion_delta``/
+``insert_customer``: the slot delta (``_slot_table`` lists the insertion
+slots of tours, ``_slot_deltas`` prices customers at them and
+``_new_tour_costs`` prices a new tour; the scalar kernel evaluates the
+same float expressions in the same order) and the commit (``commit``,
+which retimes VRPTW rows with ``retime``). The two interpreted paths,
+``greedy_insert_scalar`` and ``greedy_insert_numpy``, which scans one slot
+table per call and splices it in place at each commit, make bit-identical
+decisions; ``greedy_insert`` picks the C kernel or one of them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional: the loops then run interpreted
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
+from .errors import InputError
 
 CVRP = 0
 VRPTW = 1
 PCVRP = 2
 
 
-@njit(cache=True)
 def retime(nodes, lens, estart, lstart, t, dist, service, tws, twe):
     """Recompute the VRPTW timing rows of tour row t.
 
@@ -78,7 +78,6 @@ def retime(nodes, lens, estart, lstart, t, dist, service, tws, twe):
         nxt = c
 
 
-@njit(cache=True)
 def row_cost(nodes, length, t, dist):
     if length == 0:
         return 0.0
@@ -92,8 +91,7 @@ def row_cost(nodes, length, t, dist):
     return total
 
 
-@njit(cache=True)
-def remove_ids(
+def remove_ids_scalar(
     nodes,
     lens,
     tdem,
@@ -167,7 +165,6 @@ def remove_ids(
     return nt, cost_delta
 
 
-@njit(cache=True)
 def commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
            c, t, p, raw, dist, demand, service, tws, twe, has_tw):
     """Splice unassigned customer c into tour row t at position p.
@@ -186,8 +183,7 @@ def commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
         nt += 1
     else:
         L = lens[t]
-        for k in range(L, p, -1):
-            nodes[t, k] = nodes[t, k - 1]
+        nodes[t, p + 1 : L + 1] = nodes[t, p:L]
         nodes[t, p] = c
         lens[t] = L + 1
         tdem[t] += demand[c]
@@ -199,7 +195,6 @@ def commit(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
     return nt
 
 
-@njit(cache=True)
 def greedy_insert_scalar(
     nodes,
     lens,
@@ -312,14 +307,14 @@ def greedy_insert_scalar(
 # customers go in blocks so that peak memory stays flat.
 _BUILD_CHUNK = 1 << 14
 
-# Without numba, greedy_insert sends a batch to the numpy path when its
-# work, customers offered x insertion options (assigned customers + tours
-# + 1), reaches the bound for its problem code; smaller batches go to the
-# scalar loop, whose lower per-call overhead wins there. PCVRP batches
-# mostly skip customers, which the numpy path passes over in one step, so
-# it wins at every size. Set from timing both paths on LNS repair batches;
-# lower CVRP and VRPTW bounds that time better there gave discover-n50 no
-# measurable gain (CHANGES.md).
+# On the interpreted backend, greedy_insert sends a batch to the numpy
+# path when its work, customers offered x insertion options (assigned
+# customers + tours + 1), reaches the bound for its problem code; smaller
+# batches go to the scalar loop, whose lower per-call overhead wins there.
+# PCVRP batches mostly skip customers, which the numpy path passes over in
+# one step, so it wins at every size. Set from timing both paths on LNS
+# repair batches; lower CVRP and VRPTW bounds that time better there gave
+# discover-n50 no measurable gain (CHANGES.md).
 NUMPY_MIN_WORK = (1024, 400, 0)  # CVRP, VRPTW, PCVRP
 
 
@@ -506,18 +501,307 @@ def greedy_insert_numpy(nodes, lens, tdem, tcost, estart, lstart, tour_of, unass
 def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, order, dist, demand, capacity, service, tws, twe,
                   prize, problem, commits):
-    """Greedy reinsertion on the fastest exact path for this backend.
+    """Greedy reinsertion on the fastest exact path of the selected backend.
 
-    Same parameters and contract as ``greedy_insert_scalar``; the paths
-    agree bit for bit, so the choice only affects speed. Under numba it is
-    always the compiled scalar kernel; interpreted, a batch goes to the
-    numpy path when its work reaches ``NUMPY_MIN_WORK[problem]``.
+    Same parameters and contract as ``greedy_insert_scalar``; every path
+    agrees with it bit for bit, so the choice only affects speed. On the C
+    backend it is the compiled kernel; interpreted, a batch goes to the
+    numpy path when its work reaches ``NUMPY_MIN_WORK[problem]`` and to
+    the scalar loop otherwise.
     """
+    if _compiled is not None:
+        return _greedy_insert_c(_compiled[0], nodes, lens, tdem, tcost, estart, lstart,
+                                tour_of, unassigned, n_tours, order, dist, demand, capacity,
+                                service, tws, twe, prize, problem, commits)
     kernel = greedy_insert_scalar
-    if not HAVE_NUMBA:
-        work = order.shape[0] * (int(lens[:n_tours].sum()) + n_tours + 1)
-        if work >= NUMPY_MIN_WORK[problem]:
-            kernel = greedy_insert_numpy
+    work = order.shape[0] * (int(lens[:n_tours].sum()) + n_tours + 1)
+    if work >= NUMPY_MIN_WORK[problem]:
+        kernel = greedy_insert_numpy
     return kernel(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, order, dist, demand, capacity, service, tws, twe,
                   prize, problem, commits)
+
+
+def remove_ids(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+               ids, dist, demand, service, tws, twe, has_tw):
+    """``remove_ids_scalar`` on the selected backend (same contract)."""
+    if _compiled is not None:
+        return _remove_ids_c(_compiled[1], nodes, lens, tdem, tcost, estart, lstart,
+                             tour_of, unassigned, n_tours, ids, dist, demand, service,
+                             tws, twe, has_tw)
+    return remove_ids_scalar(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                             n_tours, ids, dist, demand, service, tws, twe, has_tw)
+
+
+# -- the C backend ------------------------------------------------------------
+
+# numba is no longer used; perfbench's environment stamp still reads this flag.
+HAVE_NUMBA = False
+
+COMPILER = "cc"
+CFLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_SOURCE = Path(__file__).with_name("_kernels.c")
+
+# "c" or "interpreted", and why; set by ``load_compiled``.
+BACKEND = "interpreted"
+BACKEND_REASON = "compiled kernels not loaded (lns.warm_kernels was not called)"
+# (rs_greedy_insert, rs_remove_ids) while the C backend is selected
+_compiled = None
+
+_I32 = np.dtype(np.int32)
+_I64 = np.dtype(np.int64)
+_F64 = np.dtype(np.float64)
+_BOOL = np.dtype(np.bool_)
+
+
+def _address(name, a, dtype, shape, writes):
+    """Address of the data of ``a``, which C reads (and, if ``writes``,
+    writes) as a C-contiguous ``dtype`` array of ``shape`` (None: any
+    shape); anything else raises instead of reaching C."""
+    if not (isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.c_contiguous
+            and (shape is None or a.shape == shape)):
+        got = f"{a.dtype} {a.shape}" if isinstance(a, np.ndarray) else type(a).__name__
+        raise InputError(f"{name}: need a C-contiguous {dtype} array of shape {shape}, got {got}")
+    if a.flags.writeable:
+        # borrowing the buffer costs a quarter of ``a.ctypes.data``
+        return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.size else None
+    if writes:
+        raise InputError(f"{name}: the array is read-only")
+    known = _readonly_addresses.get(id(a))
+    if known is None:
+        if len(_readonly_addresses) >= 64:
+            _readonly_addresses.clear()
+        known = _readonly_addresses[id(a)] = a, a.ctypes.data
+    return known[1]
+
+
+# Addresses of read-only inputs (an instance's arrays), which ctypes cannot
+# borrow as writable buffers; the held reference keeps each address valid.
+_readonly_addresses = {}
+
+
+def _state_addresses(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+                     dist, has_tw):
+    """Checked addresses of a solution's arrays and of ``dist``, plus
+    (rows, width, m)."""
+    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
+        raise InputError("nodes: need a 2-D array")
+    rows, width = nodes.shape
+    if not isinstance(dist, np.ndarray) or dist.ndim != 2:
+        raise InputError("dist: need a 2-D array")
+    m = dist.shape[0]
+    if not 0 <= n_tours <= rows:
+        raise InputError(f"n_tours out of range: {n_tours}")
+    # the timing rows are used only on VRPTW
+    times = (rows, width) if has_tw else None
+    return (
+        _address("nodes", nodes, _I32, (rows, width), True),
+        _address("lens", lens, _I32, (rows,), True),
+        _address("tdem", tdem, _I64, (rows,), True),
+        _address("tcost", tcost, _F64, (rows,), True),
+        _address("estart", estart, _F64, times, True),
+        _address("lstart", lstart, _F64, times, True),
+        _address("tour_of", tour_of, _I32, (m,), True),
+        _address("unassigned", unassigned, _BOOL, (m,), True),
+        _address("dist", dist, _F64, (m, m), False),
+    ), (rows, width, m)
+
+
+def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                     n_tours, order, dist, demand, capacity, service, tws, twe, prize,
+                     problem, commits):
+    if problem not in (CVRP, VRPTW, PCVRP):
+        raise InputError(f"unknown problem code: {problem}")
+    state, (rows, width, m) = _state_addresses(nodes, lens, tdem, tcost, estart, lstart,
+                                               tour_of, unassigned, n_tours, dist,
+                                               problem == VRPTW)
+    k = order.shape[0]
+    sums = (ctypes.c_double * 2)()
+    nt = kernel(
+        *state[:8], n_tours, rows, width, _address("order", order, _I64, (k,), False), k,
+        state[8], m, _address("demand", demand, _I64, (m,), False), capacity,
+        _address("service", service, _F64, (m,), False),
+        _address("tws", tws, _F64, (m,), False), _address("twe", twe, _F64, (m,), False),
+        _address("prize", prize, _F64, (m,), False), problem,
+        _address("commits", commits, _I64, (k, 2), True), sums,
+    )
+    return nt, sums[0], sums[1]
+
+
+def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
+                  n_tours, ids, dist, demand, service, tws, twe, has_tw):
+    state, (rows, width, m) = _state_addresses(nodes, lens, tdem, tcost, estart, lstart,
+                                               tour_of, unassigned, n_tours, dist, has_tw)
+    k = ids.shape[0]
+    cost = ctypes.c_double()
+    nt = kernel(
+        *state[:8], n_tours, width, _address("ids", ids, _I64, (k,), False), k, state[8], m,
+        _address("demand", demand, _I64, (m,), False),
+        _address("service", service, _F64, (m,), False),
+        _address("tws", tws, _F64, (m,), False), _address("twe", twe, _F64, (m,), False),
+        bool(has_tw), ctypes.byref(cost),
+    )
+    return nt, cost.value
+
+
+class _Unavailable(Exception):
+    """Why the C backend cannot be used."""
+
+
+def _cache_dirs():
+    """The per-user cache directory for compiled kernels, then a private
+    directory under the temp dir for when that one is not writable (found
+    only when asked for: ``tempfile.gettempdir`` writes a probe file)."""
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    yield Path(base) / "routesmith"
+    yield Path(tempfile.gettempdir()) / f"routesmith-{os.getuid()}"
+
+
+def _private(directory):
+    """Refuse a cache directory that another user could write into."""
+    st = os.stat(directory)
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise _Unavailable(f"{directory} is writable by other users")
+
+
+def _library_key():
+    """(compiler path, key): the key digests the source, the flags, the
+    compiler path and its size and mtime, so a change to any of them
+    builds a new library."""
+    cc = shutil.which(COMPILER)
+    if cc is None:
+        raise _Unavailable(f"no C compiler: {COMPILER!r} not found")
+    try:
+        st = os.stat(cc)
+        key = hashlib.sha256(_SOURCE.read_bytes())
+    except OSError as exc:
+        raise _Unavailable(f"cannot read the compiler or the kernel source: {exc}") from None
+    key.update(repr((CFLAGS, cc, st.st_size, st.st_mtime_ns)).encode())
+    return cc, key.hexdigest()[:20]
+
+
+def _cached(key):
+    """Cached libraries for ``key`` whose bytes match the digest in their
+    name, in cache order. A truncated library can crash the process that
+    loads it, so a file that fails the check is never loaded."""
+    for directory in _cache_dirs():
+        prefix = f"_kernels-{key}-"
+        try:
+            names = sorted(f for f in os.listdir(directory)
+                           if f.startswith(prefix) and f.endswith(".so"))
+            if names:
+                _private(directory)
+        except (OSError, _Unavailable):
+            continue
+        for name in names:
+            path = directory / name
+            try:
+                data = path.read_bytes()
+            except OSError:
+                continue
+            if hashlib.sha256(data).hexdigest()[:16] == name[len(prefix):-3]:
+                yield path
+
+
+def _build(cc, key):
+    """Compile the source into the first usable cache directory and
+    publish it under a name that carries the digest of its bytes."""
+    import subprocess  # only here: loading a cached library spawns nothing
+
+    for directory in _cache_dirs():
+        try:
+            directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+            _private(directory)
+            break
+        except (OSError, _Unavailable):
+            continue
+    else:
+        raise _Unavailable("no writable cache directory for the compiled kernels")
+    # concurrent builds each write their own file; os.replace publishes atomically
+    tmp = directory / f"_kernels-{key}.{os.getpid()}.tmp"
+    try:
+        done = subprocess.run([cc, *CFLAGS, "-o", str(tmp), str(_SOURCE)],
+                              capture_output=True, text=True, timeout=120, check=False)
+        if done.returncode != 0:
+            raise _Unavailable(f"{cc} exited with {done.returncode}: {done.stderr.strip()[-500:]}")
+        path = directory / f"_kernels-{key}-{hashlib.sha256(tmp.read_bytes()).hexdigest()[:16]}.so"
+        os.replace(tmp, path)
+    except (OSError, subprocess.SubprocessError) as exc:
+        raise _Unavailable(f"cannot build the compiled kernels: {exc}") from None
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def _open(path, cases):
+    """The two C kernels of the library at ``path``, once they agree with
+    the Python kernels on every case."""
+    try:
+        lib = ctypes.CDLL(str(path))
+        kernels = (lib.rs_greedy_insert, lib.rs_remove_ids)
+    except (OSError, AttributeError) as exc:
+        raise _Unavailable(f"cannot load {path}: {exc}") from None
+    ptr, i64, out = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)
+    kernels[0].argtypes = [ptr] * 8 + [i64] * 3 + [ptr, i64, ptr, i64, ptr, i64] + [ptr] * 4 \
+        + [i64, ptr, out]
+    kernels[1].argtypes = [ptr] * 8 + [i64, i64, ptr, i64, ptr, i64] + [ptr] * 4 + [i64, out]
+    for kernel in kernels:
+        kernel.restype = i64
+    for state, ids, inst in cases:
+        if _detach_and_reinsert(kernels, state, ids, inst) != _detach_and_reinsert(
+                None, state, ids, inst):
+            raise _Unavailable(f"{path} disagrees with the Python kernels")
+    return kernels
+
+
+def _detach_and_reinsert(kernels, state, ids, inst):
+    """Every array and value written by detaching ``ids`` from a copy of
+    ``state`` and reinserting them ascending, as bytes; C kernels when
+    ``kernels`` is given, the Python ones otherwise."""
+    remove, insert = remove_ids_scalar, greedy_insert_scalar
+    if kernels is not None:
+        insert = functools.partial(_greedy_insert_c, kernels[0])
+        remove = functools.partial(_remove_ids_c, kernels[1])
+    arrays = [a.copy() for a in state[:8]]
+    dist, demand, capacity, service, tws, twe, prize, problem = inst
+    ids = np.asarray(ids, dtype=np.int64)
+    commits = np.empty((ids.size, 2), dtype=np.int64)
+    nt, cost = remove(*arrays, state[8], ids, dist, demand, service, tws, twe, problem == VRPTW)
+    out = insert(*arrays, nt, np.sort(ids), dist, demand, capacity, service, tws, twe, prize,
+                 problem, commits)
+    values = (nt, cost, *out)
+    return [a.tobytes() for a in (*arrays, commits)] + [np.float64(v).tobytes() for v in values]
+
+
+def load_compiled(build, cases):
+    """Select the backend and record it in ``BACKEND``/``BACKEND_REASON``.
+
+    The C backend is the library built from ``_kernels.c`` for this
+    source, compiler and flags, kept in the per-user cache. It is used
+    when it loads and, on each of ``cases`` ((solution arrays and tour
+    count, ids to detach, (dist, demand, capacity, service, tws, twe,
+    prize, problem)) tuples), detaches the ids and reinserts them with
+    exactly the bits of the Python kernels. With ``build`` a missing or
+    unusable library is compiled first; without it (evaluation children,
+    which run under a memory limit) nothing is ever compiled. Otherwise
+    the interpreted kernels run.
+    """
+    global BACKEND, BACKEND_REASON, _compiled
+    try:
+        cc, key = _library_key()
+        why = "no compiled kernels in the cache"
+        for path in _cached(key):
+            try:
+                _compiled = _open(path, cases)
+                BACKEND, BACKEND_REASON = "c", f"loaded {path}"
+                return
+            except _Unavailable as exc:
+                why = str(exc)
+        if not build:
+            raise _Unavailable(f"{why}; this process does not compile")
+        path = _build(cc, key)
+        _compiled = _open(path, cases)
+        BACKEND, BACKEND_REASON = "c", f"built {path}"
+    except _Unavailable as exc:
+        _compiled = None
+        BACKEND, BACKEND_REASON = "interpreted", str(exc)

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import instances as inst_io
-from . import lns, operators
+from . import _kernels, lns, operators
 from .errors import ConfigError, InputError, RoutesmithError
 from .model import Problem
 from .util import sha256_hex
@@ -76,6 +76,8 @@ def _write_solution(out_dir: Path, instance, best, stats) -> None:
                 "elapsed_seconds": stats.elapsed_seconds,
                 "status": stats.status,
                 "error": stats.error,
+                "kernel_backend": _kernels.BACKEND,
+                "kernel_backend_reason": _kernels.BACKEND_REASON,
             },
             indent=1,
         )
@@ -228,13 +230,14 @@ def cmd_bench(args) -> int:
                     (path, remove_label, order_label, args.time_limit, args.iterations, seed, args.trace)
                 )
 
+    # builds the compiled kernels, if needed, before any worker or clock starts
+    lns.warm_kernels()
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
-        lns.warm_kernels()
         rows = [_bench_one(task) for task in tasks]
 
     traces_dir = out_dir / "traces"
@@ -262,7 +265,13 @@ def cmd_bench(args) -> int:
             if a != b:
                 ma, mb = summary[a]["mean_objective"], summary[b]["mean_objective"]
                 gaps[f"{a} vs {b}"] = (ma - mb) / mb * 100.0
-    results = {"rows": rows, "summary": summary, "gap_percent": gaps}
+    results = {
+        "rows": rows,
+        "summary": summary,
+        "gap_percent": gaps,
+        "kernel_backend": _kernels.BACKEND,
+        "kernel_backend_reason": _kernels.BACKEND_REASON,
+    }
     (out_dir / "results.json").write_text(json.dumps(results, indent=1) + "\n")
 
     for label, agg in summary.items():

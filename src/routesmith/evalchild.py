@@ -5,7 +5,7 @@ The manifest names the instance file, seed, limits, and the candidate
 source path. An optional ``memory_limit`` (bytes) caps the child's own
 address space before any candidate code loads. Protocol records are emitted as JSON lines on stdout:
 
-    {"type": "ready"}                         after import/JIT warmup
+    {"type": "ready"}                         after import and kernel warm-up
     {"type": "result", "id": ..., "objective": ..., "feasible": ...,
      "iterations": ..., "tours": [[...], ...], "unassigned": [...]}
     {"type": "error", "stage": ..., "message": ...}
@@ -40,7 +40,8 @@ def main(argv=None) -> int:
     from . import lns
     from .candidates import CandidateRuntime
 
-    lns.warm_kernels()
+    # children run under RLIMIT_AS and never compile; the parent built the kernels
+    lns.warm_kernels(build=False)
     instance = inst_io.load(manifest["instance"])
     source = open(manifest["source_path"]).read()
     try:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import instances as inst_io
+from . import lns
 from .candidates import SHIM_VERSION, CandidateBuildError, check_source
 from .errors import BuildEnvironmentError
 from .model import Solution, validate
@@ -35,7 +36,7 @@ from .util import sha256_hex
 DISQUALIFIED = math.inf
 
 # wall-clock grace: child gets per_instance_time * 1.1 + 1.0 seconds of run
-# time measured from its ready signal; interpreter/JIT startup is bounded
+# time measured from its ready signal; interpreter start-up is bounded
 # separately because it happens before the run clock starts.
 RUN_GRACE_FACTOR = 1.1
 RUN_GRACE_CONST = 1.0
@@ -309,6 +310,9 @@ class Evaluator:
         self._report_cache: dict[tuple[str, str], EvalReport] = {}
         self._instance_cache: dict[str, object] = {}
         self._smoke_manifest: EvalManifest | None = None
+        # children only load the compiled kernels (they run under RLIMIT_AS),
+        # so they are built here, before any child starts
+        lns.warm_kernels()
 
     # -- helpers ---------------------------------------------------------
 

@@ -218,18 +218,22 @@ _VALIDATE_SAMPLE = 1024
 _warmed = False
 
 
-def warm_kernels() -> None:
-    """Run every kernel once on a 3-customer instance per variant.
+def warm_kernels(build: bool = True) -> None:
+    """Select the kernel backend once per process.
 
-    With numba this compiles the kernels or loads them from its cache;
-    calling it before the run clock starts keeps JIT latency out of every
-    search budget. Without numba there is nothing to compile and the call
-    takes about a millisecond. Only the first call per process does work.
+    ``_kernels.load_compiled`` loads the compiled kernels from the cache
+    (compiling them first when ``build`` is set and they are missing) and
+    checks them bit for bit against the Python kernels on a 3-customer
+    instance per variant; otherwise the interpreted kernels run. Call it
+    before any clock starts: a cold build takes a fraction of a second, a
+    warm load a few milliseconds. Evaluation children pass ``build=False``
+    so that they only ever load. Only the first call per process does work.
     """
     global _warmed
     if _warmed:
         return
     coords = [(0.5, 0.5), (0.25, 0.5), (0.75, 0.5), (0.5, 0.25)]
+    cases = []
     for problem in (Problem.CVRP, Problem.VRPTW, Problem.PCVRP):
         inst = Instance(
             problem,
@@ -242,8 +246,14 @@ def warm_kernels() -> None:
             prize=[0.0, 0.05, 0.05, 0.05],
         )
         sol = initial_solution(inst)
-        remove_customers(sol, [1, 2])
-        greedy_reinsert(sol, sorted(sol.unassigned))
+        cases.append((
+            (sol._nodes, sol._lens, sol._tdem, sol._tcost, sol._estart, sol._lstart,
+             sol._tour_of, sol._unassigned, sol.n_tours),
+            [1, 2],
+            (inst.dist, inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end,
+             inst.prize, problem.code),
+        ))
+    _kernels.load_compiled(build, cases)
     _warmed = True
 
 
@@ -292,7 +302,7 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
             ids = sanitize_removal(raw_ids, candidate)
             if ids:
                 remove_customers(candidate, ids)
-            removed = sorted(candidate.unassigned)
+            removed = np.flatnonzero(candidate._unassigned).tolist()
             if removed:
                 raw_order = ops.order(instance, list(removed), candidate, rng)
                 order = sanitize_order(raw_order, removed)

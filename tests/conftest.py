@@ -7,7 +7,7 @@ from routesmith.model import Problem
 
 @pytest.fixture(scope="session", autouse=True)
 def warm_kernels():
-    # pay JIT compile/cache-load once, outside any timed assertion
+    # build or load the compiled kernels once, outside any timed assertion
     lns.warm_kernels()
 
 

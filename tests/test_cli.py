@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from routesmith import discovery
+from routesmith import _kernels, discovery
 from routesmith.cli import main
 from routesmith.errors import ConfigError
 from routesmith.instances import verify_manifest
@@ -54,6 +54,9 @@ class TestSolve:
             assert rc == 0
             outs.append((tmp_path / name / "solution.json").read_bytes())
         assert outs[0] == outs[1]
+        stats = json.loads((tmp_path / "one" / "stats.json").read_text())
+        assert stats["kernel_backend"] == _kernels.BACKEND
+        assert stats["kernel_backend_reason"] == _kernels.BACKEND_REASON
 
     def test_missing_budget_is_config_error(self, gen_dir, tmp_path):
         instance = verify_manifest(gen_dir / "train-manifest.json").paths[0]
@@ -106,6 +109,8 @@ class TestBench:
         assert rc == 0
         results = json.loads((tmp_path / "bench-reps" / "results.json").read_text())
         assert len(results["rows"]) == 1 * 2 * 3
+        assert results["kernel_backend"] == _kernels.BACKEND
+        assert results["kernel_backend_reason"] == _kernels.BACKEND_REASON
 
     def test_requires_a_pair(self, gen_dir, tmp_path):
         rc = run_cli(

@@ -1,13 +1,20 @@
 """Parity of the greedy-reinsertion paths and the insertion primitives.
 
-``_kernels.greedy_insert_numpy`` must make exactly the decisions of the
-scalar reference ``_kernels.greedy_insert_scalar``: same mutated arrays,
-same commits, same returned counts and sums, bit for bit. The public
-primitives ``model.insertion_delta`` and ``model.insert_customer`` must
-choose and commit a customer exactly as one step of the scalar kernel.
+``_kernels.greedy_insert_numpy`` and the compiled kernels of
+``_kernels.c`` must make exactly the decisions of the scalar references
+``_kernels.greedy_insert_scalar`` and ``_kernels.remove_ids_scalar``: same
+mutated arrays, same commits, same returned counts and sums, bit for bit.
+The public primitives ``model.insertion_delta`` and
+``model.insert_customer`` must choose and commit a customer exactly as one
+step of the scalar kernel.
 """
 
 import math
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,6 +24,7 @@ from hypothesis import strategies as st
 
 from routesmith import _kernels, lns
 from routesmith.cli import main as cli_main
+from routesmith.errors import InputError
 from routesmith.instances import GenParams, generate, save
 from routesmith.model import Instance, Problem, Solution, insert_customer, insertion_delta
 from routesmith.operators import builtin_pair
@@ -71,6 +79,27 @@ def make_case(problem, n, seed, lattice, tight, max_demand, spare):
     return sol, order
 
 
+def needs_c():
+    if _kernels.BACKEND != "c":
+        pytest.skip(f"no compiled kernels: {_kernels.BACKEND_REASON}")
+
+
+def test_compiled_kernels_run_wherever_there_is_a_compiler():
+    """The tests of the C kernels skip without them, so a build or a
+    self-check that fails must not pass unnoticed."""
+    if shutil.which(_kernels.COMPILER) is None:
+        pytest.skip(f"no C compiler {_kernels.COMPILER!r}")
+    assert _kernels.BACKEND == "c", _kernels.BACKEND_REASON
+
+
+def keep_backend(monkeypatch):
+    """Restore the selected backend when the test ends; until then,
+    ``lns.warm_kernels`` selects again."""
+    for name in ("BACKEND", "BACKEND_REASON", "_compiled"):
+        monkeypatch.setattr(_kernels, name, getattr(_kernels, name))
+    monkeypatch.setattr(lns, "_warmed", False)
+
+
 def call(kernel, sol, order):
     """Run ``kernel`` on a copy of ``sol``; return every output it writes."""
     s = sol.clone()
@@ -83,6 +112,20 @@ def call(kernel, sol, order):
     )
     arrays = (s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart,
               s._tour_of, s._unassigned, commits)
+    return [a.tobytes() for a in arrays], [np.float64(r).tobytes() for r in result]
+
+
+def call_remove(kernel, sol, ids):
+    """Run a ``remove_ids`` kernel on a copy of ``sol``; return every output."""
+    s = sol.clone()
+    inst = s.instance
+    result = kernel(
+        s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart, s._tour_of,
+        s._unassigned, s.n_tours, ids, inst.dist, inst.demand, inst.service, inst.tw_start,
+        inst.tw_end, inst.problem is Problem.VRPTW,
+    )
+    arrays = (s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart,
+              s._tour_of, s._unassigned)
     return [a.tobytes() for a in arrays], [np.float64(r).tobytes() for r in result]
 
 
@@ -105,6 +148,105 @@ def test_numpy_path_matches_scalar_kernel(args, chunk):
     with mock.patch.object(_kernels, "_BUILD_CHUNK", chunk):
         numpy_out = call(_kernels.greedy_insert_numpy, sol, order)
     assert numpy_out == call(_kernels.greedy_insert_scalar, sol, order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_args, st.integers(0, 2**32 - 1))
+def test_compiled_kernels_match_scalar_kernels(args, seed):
+    """Detach draws ids from every customer, so already unassigned ones
+    are skipped, and emptied tours are swap-deleted."""
+    needs_c()
+    sol, order = make_case(*args)
+    assert call(_kernels.greedy_insert, sol, order) == call(
+        _kernels.greedy_insert_scalar, sol, order)
+    rng = np.random.default_rng(seed)
+    n = sol.instance.num_customers
+    ids = rng.permutation(np.arange(1, n + 1))[: rng.integers(0, n + 1)]
+    assert call_remove(_kernels.remove_ids, sol, ids) == call_remove(
+        _kernels.remove_ids_scalar, sol, ids)
+
+
+def test_compiled_kernels_refuse_arrays_they_cannot_read():
+    needs_c()
+    sol, order = make_case(Problem.VRPTW, 12, 1, False, False, 1, 3)
+    assert order.size and sol.n_tours
+    ids = sol.assigned_ids()
+    for convert in (lambda a: a.astype(np.int32), lambda a: np.repeat(a, 2)[::2]):
+        with pytest.raises(InputError, match="order"):
+            call(_kernels.greedy_insert, sol, convert(order))
+        with pytest.raises(InputError, match="ids"):
+            call_remove(_kernels.remove_ids, sol, convert(ids))
+    # ``call`` passes copies, which are C-contiguous whatever the original
+    for name, bad in (("_tdem", lambda a: a.astype(np.int32)),
+                      ("_nodes", np.ravel),
+                      ("_lstart", lambda a: a[:, :1].copy()),
+                      ("_tour_of", lambda a: a[:-1].copy())):
+        broken = sol.clone()
+        setattr(broken, name, bad(getattr(broken, name)))
+        with pytest.raises(InputError, match=name[1:]):
+            call(_kernels.greedy_insert, broken, order)
+        with pytest.raises(InputError, match=name[1:]):
+            call_remove(_kernels.remove_ids, broken, ids)
+    s, inst = sol.clone(), sol.instance
+    with pytest.raises(InputError, match="tour_of: the array is read-only"):
+        _kernels.remove_ids(s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart,
+                            s.customer_to_tour, s._unassigned, s.n_tours, ids, inst.dist,
+                            inst.demand, inst.service, inst.tw_start, inst.tw_end, True)
+
+
+def test_missing_compiler_falls_back_to_interpreted(monkeypatch, tmp_path):
+    needs_c()
+    sol, order = make_case(Problem.PCVRP, 14, 2, True, False, 1, 3)
+    ids = sol.assigned_ids()
+    expected = call(_kernels.greedy_insert, sol, order), call_remove(_kernels.remove_ids, sol, ids)
+    keep_backend(monkeypatch)
+    monkeypatch.setattr(_kernels, "COMPILER", str(tmp_path / "no-such-cc"))
+    lns.warm_kernels()
+    assert _kernels.BACKEND == "interpreted"
+    assert "no-such-cc" in _kernels.BACKEND_REASON
+    assert (call(_kernels.greedy_insert, sol, order),
+            call_remove(_kernels.remove_ids, sol, ids)) == expected
+
+
+def test_corrupt_cached_library_is_rebuilt_not_loaded(monkeypatch, tmp_path):
+    needs_c()
+    keep_backend(monkeypatch)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    lns.warm_kernels()
+    assert _kernels.BACKEND == "c" and _kernels.BACKEND_REASON.startswith("built")
+    [library] = (tmp_path / "routesmith").glob("*.so")
+    good = library.read_bytes()
+    # loading a truncated library can crash the process; it must be refused
+    for bad in (good[: len(good) // 2], good[:-1], b"\0" + good[1:]):
+        library.unlink()  # a new file: this process may still map the old one
+        library.write_bytes(bad)
+        monkeypatch.setattr(lns, "_warmed", False)
+        lns.warm_kernels(build=False)
+        assert _kernels.BACKEND == "interpreted"
+        assert "does not compile" in _kernels.BACKEND_REASON
+        monkeypatch.setattr(lns, "_warmed", False)
+        lns.warm_kernels()
+        assert _kernels.BACKEND == "c" and _kernels.BACKEND_REASON.startswith("built")
+        assert Path(_kernels.BACKEND_REASON.split(" ", 1)[1]).read_bytes() != bad
+        monkeypatch.setattr(lns, "_warmed", False)
+        lns.warm_kernels(build=False)
+        assert _kernels.BACKEND == "c" and _kernels.BACKEND_REASON.startswith("loaded")
+
+
+def test_concurrent_builds_each_load_a_whole_library(tmp_path):
+    """Processes that build into one empty cache at once (pytest workers,
+    a bench pool) each publish a whole file and load the C kernels."""
+    needs_c()
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path),
+               PYTHONPATH=os.pathsep.join([str(Path(_kernels.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    script = "from routesmith import _kernels, lns; lns.warm_kernels(); print(_kernels.BACKEND)"
+    procs = [subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                              text=True) for _ in range(3)]
+    outs = [p.communicate(timeout=120)[0].strip() for p in procs]
+    assert outs == ["c"] * 3
+    names = [p.name for p in (tmp_path / "routesmith").iterdir()]
+    assert names and all(name.endswith(".so") for name in names), names
 
 
 @pytest.mark.parametrize("problem", VARIANTS)
@@ -247,22 +389,27 @@ def test_seeded_runs_agree_on_every_path(problem, pair, monkeypatch):
 
     reference = _solve_signature(inst, pair, _kernels.greedy_insert_scalar, monkeypatch)
     forced = _solve_signature(inst, pair, numpy_path, monkeypatch)
-    monkeypatch.setattr(_kernels, "greedy_insert_numpy", counted)
-    selected = _solve_signature(inst, pair, selected_path, monkeypatch)
     assert forced == reference
-    assert selected == reference
-    if not _kernels.HAVE_NUMBA:
-        assert numpy_calls, "n=500 batches should take the numpy path"
+    if _kernels.BACKEND == "c":
+        assert _solve_signature(inst, pair, selected_path, monkeypatch) == reference
+    # the interpreted backend's selection, detach included
+    monkeypatch.setattr(_kernels, "_compiled", None)
+    monkeypatch.setattr(_kernels, "greedy_insert_numpy", counted)
+    assert _solve_signature(inst, pair, selected_path, monkeypatch) == reference
+    assert numpy_calls, "n=500 batches should take the numpy path"
 
 
 def test_cli_solve_output_is_identical_on_both_paths(tmp_path, monkeypatch):
     path = save(generate(GenParams(problem=Problem.VRPTW, n=200, seed=4)), tmp_path / "v.txt")
     outputs = []
-    for kernel in (_kernels.greedy_insert_scalar, _kernels.greedy_insert_numpy):
+    kernels = [_kernels.greedy_insert_scalar, _kernels.greedy_insert_numpy]
+    if _kernels.BACKEND == "c":
+        kernels.append(_kernels.greedy_insert)
+    for kernel in kernels:
         monkeypatch.setattr(_kernels, "greedy_insert", kernel)
         out = tmp_path / kernel.__name__
         rc = cli_main(["solve", "--instance", str(path), "--iterations", "40",
                        "--seed", "9", "--out", str(out)])
         assert rc == 0
         outputs.append((out / "solution.json").read_bytes())
-    assert outputs[0] == outputs[1]
+    assert outputs[1:] == outputs[:-1]
