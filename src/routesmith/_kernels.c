@@ -4,9 +4,12 @@
  * ``retime``) and of ``remove_ids_scalar`` in ``_kernels.py``: the same
  * loops, the same float expressions in the same order, so that built
  * without contraction or fast-math every result is bit-identical to the
- * Python kernels. ``_kernels.py`` builds this file, checks the arrays
- * before every call (dtype, contiguity, shapes) and compares the library
- * with the Python kernels before using it.
+ * Python kernels. ``_kernels.py`` builds this file and compares the
+ * library with the Python kernels before using it. It checks each array's
+ * dtype, contiguity and shape the first time a call passes it; for a
+ * solution's arena views and an instance's read-only views it then keeps
+ * their addresses and geometry, and later calls that pass the same arrays
+ * (still writable where written) reuse them.
  *
  * Arrays are C-contiguous: nodes (rows x width, int32), lens (int32),
  * tdem (int64), tcost (float64), estart/lstart (rows x width float64, read

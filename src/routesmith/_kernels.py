@@ -14,7 +14,13 @@ contraction or fast-math into a per-user cache (``$XDG_CACHE_HOME`` or
 ``~/.cache``, under ``routesmith/``) and loaded with ``ctypes``;
 ``load_compiled`` selects it when it loads and agrees bit for bit with the
 Python kernels. Otherwise the interpreted backend runs the Python kernels.
-``BACKEND`` and ``BACKEND_REASON`` say which one runs and why.
+``BACKEND`` and ``BACKEND_REASON`` say which one runs and why. C trusts
+its arguments, so the wrappers check every array's dtype, contiguity and
+shape, and that the arrays C writes are writable, before C sees it. A
+solution's arena views and an instance's read-only views are checked once:
+a record keeps their addresses and geometry, and a later call passing the
+same array objects, still writable where written, skips the checks
+(``_state_arrays`` and ``_instance_arrays``).
 
 Each piece of the greedy insertion rule has one home here, used by both
 interpreted reinsertion paths and by ``model.insertion_delta``/
@@ -36,6 +42,7 @@ import hashlib
 import os
 import shutil
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -567,34 +574,91 @@ def _address(name, a, dtype, shape, writes):
         return ctypes.addressof(ctypes.c_char.from_buffer(a)) if a.size else None
     if writes:
         raise InputError(f"{name}: the array is read-only")
-    known = _readonly_addresses.get(id(a))
-    if known is None:
-        if len(_readonly_addresses) >= 64:
-            _readonly_addresses.clear()
-        known = _readonly_addresses[id(a)] = a, a.ctypes.data
-    return known[1]
+    return a.ctypes.data
 
 
-# Addresses of read-only inputs (an instance's arrays), which ctypes cannot
-# borrow as writable buffers; the held reference keeps each address valid.
-_readonly_addresses = {}
+# Records of checked arguments. A solution's eight state arrays, and an
+# instance's read-only arrays, are checked in full the first time a call
+# passes them; if none of them owns its data (a ``Solution``'s arena views,
+# an ``Instance``'s read-only views), the record keeps weak references to
+# them, their addresses and their geometry. A later call whose arrays are
+# the recorded objects (an ``is`` test), with its output arrays still
+# writable, hands C the recorded addresses and geometry and skips the
+# dtype, shape and contiguity checks; any other call is checked in full.
+# numpy cannot resize an array that does not own its data, and C never
+# reads a view's current shape, so a recorded address holds while the
+# array lives. A record goes away with the array it is keyed on, and keeps
+# nothing alive.
+_states = {}  # id(nodes) -> (refs, (addresses, rows, width, m), timing rows full-size)
+_inputs = {}  # id(dist) -> (refs, (addresses, m)); prize's ref is None until a reinsertion
 
 
-def _state_addresses(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-                     dist, has_tw):
-    """Checked addresses of a solution's arrays and of ``dist``, plus
-    (rows, width, m)."""
-    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
-        raise InputError("nodes: need a 2-D array")
-    rows, width = nodes.shape
+def _remember(table, arrays, value):
+    """Record ``value`` for ``arrays`` in ``table``, keyed on the first
+    array, if none of them owns its data."""
+    if any(a.base is None for a in arrays if a is not None):
+        return
+    key = id(arrays[0])
+
+    def forget(ref):
+        record = table.get(key)
+        if record is not None and record[0][0] is ref:
+            del table[key]
+
+    refs = (weakref.ref(arrays[0], forget),) + tuple(
+        None if a is None else weakref.ref(a) for a in arrays[1:])
+    table[key] = (refs, *value)
+
+
+def _instance_arrays(dist, demand, service, tws, twe, prize=None):
+    """(addresses, m) of an instance's arrays (``prize`` is None on detach),
+    from their record or from a full check that raises on anything C
+    cannot read."""
+    rec = _inputs.get(id(dist))
+    if rec is not None:
+        r = rec[0]
+        if (r[0]() is dist and r[1]() is demand and r[2]() is service and r[3]() is tws
+                and r[4]() is twe and (prize is None or r[5] is not None and r[5]() is prize)):
+            return rec[1]
     if not isinstance(dist, np.ndarray) or dist.ndim != 2:
         raise InputError("dist: need a 2-D array")
     m = dist.shape[0]
+    arrays = (dist, demand, service, tws, twe, prize)
+    value = tuple(
+        None if a is None else _address(name, a, dtype, shape, False)
+        for a, (name, dtype, shape) in zip(arrays, (
+            ("dist", _F64, (m, m)), ("demand", _I64, (m,)), ("service", _F64, (m,)),
+            ("tws", _F64, (m,)), ("twe", _F64, (m,)), ("prize", _F64, (m,))))
+    ), m
+    _remember(_inputs, arrays, (value,))
+    return value
+
+
+def _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+                  has_tw, m):
+    """(addresses, rows, width, m) of a solution's arrays for an instance
+    of ``m`` nodes, from their record or from a full check that raises on
+    anything C cannot read or write."""
+    rec = _states.get(id(nodes))
+    if rec is not None and rec[1][3] == m and (rec[2] or not has_tw):
+        r = rec[0]
+        if (r[0]() is nodes and r[1]() is lens and r[2]() is tdem and r[3]() is tcost
+                and r[4]() is estart and r[5]() is lstart and r[6]() is tour_of
+                and r[7]() is unassigned and nodes.flags.writeable and lens.flags.writeable
+                and tdem.flags.writeable and tcost.flags.writeable
+                and estart.flags.writeable and lstart.flags.writeable
+                and tour_of.flags.writeable and unassigned.flags.writeable):
+            if not 0 <= n_tours <= rec[1][1]:
+                raise InputError(f"n_tours out of range: {n_tours}")
+            return rec[1]
+    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
+        raise InputError("nodes: need a 2-D array")
+    rows, width = nodes.shape
     if not 0 <= n_tours <= rows:
         raise InputError(f"n_tours out of range: {n_tours}")
     # the timing rows are used only on VRPTW
     times = (rows, width) if has_tw else None
-    return (
+    geometry = (
         _address("nodes", nodes, _I32, (rows, width), True),
         _address("lens", lens, _I32, (rows,), True),
         _address("tdem", tdem, _I64, (rows,), True),
@@ -603,8 +667,11 @@ def _state_addresses(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassign
         _address("lstart", lstart, _F64, times, True),
         _address("tour_of", tour_of, _I32, (m,), True),
         _address("unassigned", unassigned, _BOOL, (m,), True),
-        _address("dist", dist, _F64, (m, m), False),
-    ), (rows, width, m)
+    ), rows, width, m
+    timed = estart.shape == lstart.shape == (rows, width)
+    _remember(_states, (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned),
+              (geometry, timed))
+    return geometry
 
 
 def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
@@ -612,17 +679,14 @@ def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, 
                      problem, commits):
     if problem not in (CVRP, VRPTW, PCVRP):
         raise InputError(f"unknown problem code: {problem}")
-    state, (rows, width, m) = _state_addresses(nodes, lens, tdem, tcost, estart, lstart,
-                                               tour_of, unassigned, n_tours, dist,
-                                               problem == VRPTW)
+    inputs, m = _instance_arrays(dist, demand, service, tws, twe, prize)
+    state, rows, width, _ = _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of,
+                                          unassigned, n_tours, problem == VRPTW, m)
     k = order.shape[0]
     sums = (ctypes.c_double * 2)()
     nt = kernel(
-        *state[:8], n_tours, rows, width, _address("order", order, _I64, (k,), False), k,
-        state[8], m, _address("demand", demand, _I64, (m,), False), capacity,
-        _address("service", service, _F64, (m,), False),
-        _address("tws", tws, _F64, (m,), False), _address("twe", twe, _F64, (m,), False),
-        _address("prize", prize, _F64, (m,), False), problem,
+        *state, n_tours, rows, width, _address("order", order, _I64, (k,), False), k,
+        inputs[0], m, inputs[1], capacity, *inputs[2:], problem,
         _address("commits", commits, _I64, (k, 2), True), sums,
     )
     return nt, sums[0], sums[1]
@@ -630,16 +694,14 @@ def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, 
 
 def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, ids, dist, demand, service, tws, twe, has_tw):
-    state, (rows, width, m) = _state_addresses(nodes, lens, tdem, tcost, estart, lstart,
-                                               tour_of, unassigned, n_tours, dist, has_tw)
+    inputs, m = _instance_arrays(dist, demand, service, tws, twe)
+    state, _, width, _ = _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of,
+                                       unassigned, n_tours, has_tw, m)
     k = ids.shape[0]
     cost = ctypes.c_double()
     nt = kernel(
-        *state[:8], n_tours, width, _address("ids", ids, _I64, (k,), False), k, state[8], m,
-        _address("demand", demand, _I64, (m,), False),
-        _address("service", service, _F64, (m,), False),
-        _address("tws", tws, _F64, (m,), False), _address("twe", twe, _F64, (m,), False),
-        bool(has_tw), ctypes.byref(cost),
+        *state, n_tours, width, _address("ids", ids, _I64, (k,), False), k, inputs[0], m,
+        *inputs[1:5], bool(has_tw), ctypes.byref(cost),
     )
     return nt, cost.value
 

@@ -42,6 +42,8 @@ class Individual:
     kind: str  # init | crossover | mutation-<kind>
     fitness: float | None = UNEVALUATED
     eval_detail: list[float] = field(default_factory=list)
+    # LNS iterations each training instance reached, in eval_detail's order
+    eval_iterations: list[int] = field(default_factory=list)
     eval_status: str = "unevaluated"
     validation_mean: float | None = None
 
@@ -73,6 +75,7 @@ class Individual:
             kind=rec["kind"],
             fitness=fit,
             eval_detail=list(rec.get("eval_detail", [])),
+            eval_iterations=list(rec.get("eval_iterations", [])),
             eval_status=rec.get("eval_status", "unevaluated"),
             validation_mean=rec.get("validation_mean"),
         )
@@ -205,6 +208,7 @@ class DiscoveryRun:
         report = self.evaluator.evaluate_source(ind.source, self._manifest(iteration))
         ind.eval_status = report.status
         ind.eval_detail = report.objectives() if report.ok else []
+        ind.eval_iterations = [r.iterations for r in report.per_instance] if report.ok else []
         ind.fitness = fitness(ind, report, self.config.lam)
         self._journal(ind)
 

@@ -1,11 +1,11 @@
 """The destroy-order-repair-accept loop with safeguards around operators.
 
-Each iteration clones the current solution, asks the removal operator for
-customer ids (sanitized: deduplicated, invalid/unassigned ids dropped,
-capped at ceil(n/2)), detaches them, asks the ordering operator to sequence
-the unassigned set (sanitized to an exact permutation), reinserts greedily,
-and applies a simulated-annealing acceptance rule. Operator crashes abort
-the run with the best solution found so far.
+Each iteration clones the current solution into a reused spare, asks the
+removal operator for customer ids (sanitized: deduplicated, invalid/unassigned
+ids dropped, capped at ceil(n/2)), detaches them, asks the ordering operator
+to sequence the unassigned set (sanitized to an exact permutation),
+reinserts greedily, and applies a simulated-annealing acceptance rule.
+Operator crashes abort the run with the best solution found so far.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, InstanceError, OperatorProtocolError
 from .model import Instance, Problem, Solution, remove_customers, validate
-from .util import OBJECTIVE_EPS, make_rng
+from .util import OBJECTIVE_EPS, make_rng, plain_ints
 
 
 @dataclass
@@ -95,6 +95,11 @@ def sanitize_removal(ids, solution: Solution) -> list[int]:
     """Dedupe, drop invalid/unassigned ids, cap at ceil(n/2). Idempotent."""
     n = solution.instance.num_customers
     cap = (n + 1) // 2
+    if plain_ints(ids):
+        # the loop below on a list of ints: first occurrences of in-range,
+        # assigned ids, capped
+        tour_of = solution._tour_of
+        return [c for c in dict.fromkeys(ids) if 0 < c <= n and tour_of[c] >= 0][:cap]
     try:
         iterator = iter(ids)
     except TypeError:
@@ -120,25 +125,31 @@ def sanitize_removal(ids, solution: Solution) -> list[int]:
 def sanitize_order(order, removed) -> list[int]:
     """Repair to an exact permutation of ``removed``: duplicates and
     extraneous ids dropped, missing ids appended ascending. Idempotent."""
-    target = set(int(c) for c in removed)
-    try:
-        iterator = iter(order)
-    except TypeError:
-        raise OperatorProtocolError(
-            f"ordering operator returned non-iterable {type(order).__name__}"
-        ) from None
-    out: list[int] = []
-    seen: set[int] = set()
-    for raw in iterator:
+    target = set(removed) if plain_ints(removed) else set(int(c) for c in removed)
+    if plain_ints(order):
+        # the loop below on a list of ints: first occurrences of targets
+        if len(order) == len(target) and set(order) == target:
+            return order.copy()
+        out = list(filter(target.__contains__, dict.fromkeys(order)))
+    else:
         try:
-            c = int(raw)
-        except (TypeError, ValueError):
-            continue
-        if c in target and c not in seen:
-            seen.add(c)
-            out.append(c)
-    if len(seen) != len(target):
-        out.extend(sorted(target - seen))
+            iterator = iter(order)
+        except TypeError:
+            raise OperatorProtocolError(
+                f"ordering operator returned non-iterable {type(order).__name__}"
+            ) from None
+        out = []
+        seen: set[int] = set()
+        for raw in iterator:
+            try:
+                c = int(raw)
+            except (TypeError, ValueError):
+                continue
+            if c in target and c not in seen:
+                seen.add(c)
+                out.append(c)
+    if len(out) != len(target):
+        out.extend(sorted(target.difference(out)))
     return out
 
 
@@ -157,9 +168,7 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
     """
     inst = partial.instance
     order_arr = np.asarray(list(order), dtype=np.int64)
-    if order_arr.size != partial.num_unassigned or (
-        order_arr.size and not np.array_equal(np.sort(order_arr), np.flatnonzero(partial._unassigned))
-    ):
+    if not _is_permutation(order_arr, partial._unassigned):
         raise OperatorProtocolError("order is not a permutation of the unassigned set")
     if order_arr.size == 0:
         return partial
@@ -193,6 +202,22 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
             (int(c), int(t), int(p)) for c, (t, p) in zip(order_arr, commits)
         )
     return partial
+
+
+def _is_permutation(ids: np.ndarray, mask: np.ndarray) -> bool:
+    """Whether ``ids`` lists every index set in ``mask`` exactly once: as
+    many ids as set entries, all in range, hitting that many set entries."""
+    k = ids.size
+    if k != np.count_nonzero(mask):
+        return False
+    if k == 0:
+        return True
+    if ids.min() < 0 or ids.max() >= mask.size:
+        return False
+    hit = np.zeros_like(mask)
+    hit[ids] = True
+    hit &= mask
+    return np.count_nonzero(hit) == k
 
 
 def sa_temperature(t_initial: float, t_final: float, fraction: float) -> float:
@@ -273,6 +298,9 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
 
     current = initial_solution(instance)
     best = current.clone()
+    # the run reuses three solutions: each candidate is cloned into the
+    # spare, and an accepted candidate's predecessor becomes the spare
+    spare = Solution(instance)
     stats.best_objective = best.total_objective
     if config.record_trace:
         stats.best_objective_trace.append((0.0, stats.best_objective))
@@ -296,7 +324,7 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
         if config.time_limit is not None and config.time_limit > 0:
             fraction = max(fraction, elapsed / config.time_limit)
 
-        candidate = current.clone()
+        candidate = current.clone(into=spare)
         try:
             raw_ids = ops.remove(instance, candidate, rng)
             ids = sanitize_removal(raw_ids, candidate)
@@ -325,9 +353,9 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
                     stats.status = "operator_failure"
                     stats.error = f"accepted solution infeasible: {report.violations[0]}"
                     break
-            current = chosen
+            spare, current = current, chosen
             if current.total_objective < stats.best_objective - OBJECTIVE_EPS:
-                best = current.clone()
+                current.clone(into=best)
                 stats.best_objective = best.total_objective
                 stats.improved_count += 1
                 if config.record_trace:

@@ -11,6 +11,26 @@ The three supported variants share one representation:
 per-tour demand/cost caches and, for VRPTW, earliest/latest service-start
 rows) so the kernels in ``_kernels`` can run directly on it.
 Convenience views (``tours``, ``unassigned``) are materialized on access.
+
+State arena. A solution owns one byte buffer, ``_arena``, and its arrays
+(``_nodes``, ``_lens``, ``_tdem``, ``_tcost``, ``_estart``, ``_lstart``,
+``_tour_of``, ``_unassigned``) are views into it at fixed offsets. The
+layout is computed once per instance (``Instance._layout``): first the
+per-tour and per-customer vectors (and, outside VRPTW, the unused 1 x 1
+timing arrays), which fill one contiguous prefix, then the tour-row arrays
+``_nodes`` and, on VRPTW, ``_estart``/``_lstart``, each ``(n, width)``.
+Every array starts on an 8-byte boundary. The views do not own their data,
+so numpy cannot resize them, and ``_kernels`` may keep their addresses for
+as long as they live. They are the solution's state: rebinding one of
+these attributes is outside the contract, and a clone copies the arena,
+not the attributes.
+
+Live rows. Nothing reads a tour row at or past ``n_tours``, nor a slot at
+or past ``_lens[t]`` of a live row: not the kernels (both backends), not
+``validate``/``objective``, not the views. ``_kernels.remove_ids`` leaves
+stale bytes there, and ``Solution.clone(into=...)`` copies only the first
+``n_tours`` rows of the tour-row arrays, plus the whole vector prefix.
+A fresh ``clone()`` copies the whole arena.
 """
 
 from __future__ import annotations
@@ -23,7 +43,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import InputError, InstanceError, StructuralError
-from .util import CACHE_TOL
+from .util import CACHE_TOL, plain_ints
 
 INFEASIBLE = math.inf
 TIME_EPS = 1e-9
@@ -70,6 +90,7 @@ class Instance:
         "prize",
         "adjacency",
         "tour_width",
+        "_layout",
     )
 
     def __init__(
@@ -103,9 +124,15 @@ class Instance:
         self.demand = demand
         self.capacity = int(capacity)
 
+        # sqrt(dx * dx + dy * dy) in place: at n=500 these temporaries
+        # set a solver process's peak memory
         dx = coords[:, 0:1] - coords[:, 0:1].T
         dy = coords[:, 1:2] - coords[:, 1:2].T
-        self.dist = np.sqrt(dx * dx + dy * dy)
+        dx *= dx
+        dy *= dy
+        dx += dy
+        del dy
+        self.dist = np.sqrt(dx, out=dx)
 
         zeros = np.zeros(m, dtype=np.float64)
         if problem is Problem.VRPTW:
@@ -144,12 +171,53 @@ class Instance:
             width = m - 1
         self.tour_width = max(1, width)
 
-        for arr in (self.coords, self.dist, self.demand, self.service,
-                    self.tw_start, self.tw_end, self.prize, self.adjacency):
+        # read-only views: numpy cannot resize a view, so the kernels may
+        # keep the addresses of these arrays (and a caller's array passed
+        # in is frozen too)
+        for name in ("coords", "dist", "demand", "service", "tw_start", "tw_end", "prize",
+                     "adjacency"):
+            arr = getattr(self, name)
             arr.flags.writeable = False
+            setattr(self, name, arr.view())
+        self._layout = _ArenaLayout(problem, m - 1, self.tour_width)
 
     def __repr__(self):
         return f"Instance({self.problem.value}, n={self.num_customers}, capacity={self.capacity})"
+
+
+class _ArenaLayout:
+    """Where a ``Solution``'s arrays live in its arena (see the module doc).
+
+    ``fields`` lists (attribute, dtype, shape, byte offset). Bytes
+    ``[0, whole)`` hold the vectors, copied whole by a clone; ``rows`` lists
+    (byte offset, bytes per row) of each ``(n, width)`` tour-row array, of
+    which a clone into a spare solution copies the first ``n_tours`` rows.
+    """
+
+    __slots__ = ("fields", "whole", "rows", "nbytes")
+
+    def __init__(self, problem: Problem, n: int, width: int):
+        m = n + 1
+        timing = [("_estart", np.float64), ("_lstart", np.float64)]
+        vectors = [("_tdem", np.int64, (n,)), ("_tcost", np.float64, (n,))]
+        rows = [("_nodes", np.int32, (n, width))]
+        if problem is Problem.VRPTW:
+            rows += [(name, dtype, (n, width)) for name, dtype in timing]
+        else:
+            vectors += [(name, dtype, (1, 1)) for name, dtype in timing]
+        vectors += [("_lens", np.int32, (n,)), ("_tour_of", np.int32, (m,)),
+                    ("_unassigned", np.bool_, (m,))]
+        self.fields = []
+        offset = 0
+        for name, dtype, shape in vectors + rows:
+            offset = -(-offset // 8) * 8  # every array on an 8-byte boundary
+            self.fields.append((name, dtype, shape, offset))
+            offset += math.prod(shape) * np.dtype(dtype).itemsize
+        self.nbytes = offset
+        placed = {name: offset for name, _, _, offset in self.fields}
+        self.whole = placed["_nodes"]  # the vectors end where the tour rows begin
+        self.rows = [(placed[name], shape[1] * np.dtype(dtype).itemsize)
+                     for name, dtype, shape in rows]
 
 
 @dataclass
@@ -187,6 +255,7 @@ class Solution:
 
     __slots__ = (
         "instance",
+        "_arena",
         "_nodes",
         "_lens",
         "_tdem",
@@ -201,24 +270,18 @@ class Solution:
     )
 
     def __init__(self, instance: Instance):
-        n = instance.num_customers
-        width = instance.tour_width
         self.instance = instance
-        self._nodes = np.zeros((n, width), dtype=np.int32)
-        self._lens = np.zeros(n, dtype=np.int32)
-        self._tdem = np.zeros(n, dtype=np.int64)
-        self._tcost = np.zeros(n, dtype=np.float64)
-        if instance.problem is Problem.VRPTW:
-            self._estart = np.zeros((n, width), dtype=np.float64)
-            self._lstart = np.zeros((n, width), dtype=np.float64)
-        else:
-            self._estart = np.zeros((1, 1), dtype=np.float64)
-            self._lstart = np.zeros((1, 1), dtype=np.float64)
-        self._tour_of = np.full(n + 1, -1, dtype=np.int32)
-        self._unassigned = np.zeros(n + 1, dtype=np.bool_)
+        self._bind(np.zeros(instance._layout.nbytes, dtype=np.uint8))
+        self._tour_of.fill(-1)
         self.n_tours = 0
         self._total_cost = 0.0
         self._prize_penalty = 0.0
+
+    def _bind(self, arena: np.ndarray) -> None:
+        """Own ``arena`` and take the state arrays as views into it."""
+        self._arena = arena
+        for name, dtype, shape, offset in self.instance._layout.fields:
+            setattr(self, name, np.ndarray(shape, dtype, buffer=arena, offset=offset))
 
     @classmethod
     def empty(cls, instance: Instance) -> "Solution":
@@ -273,22 +336,34 @@ class Solution:
                 if c < 1 or c > n:
                     raise InputError(f"unassigned id out of range: {c}")
                 mask[c] = True
-        sol._unassigned = mask
+        sol._unassigned[:] = mask
         sol._total_cost = float(sol._tcost[:t].sum())
         sol._prize_penalty = float(instance.prize[mask].sum())
         return sol
 
-    def clone(self) -> "Solution":
-        dup = Solution.__new__(Solution)
-        dup.instance = self.instance
-        dup._nodes = self._nodes.copy()
-        dup._lens = self._lens.copy()
-        dup._tdem = self._tdem.copy()
-        dup._tcost = self._tcost.copy()
-        dup._estart = self._estart.copy()
-        dup._lstart = self._lstart.copy()
-        dup._tour_of = self._tour_of.copy()
-        dup._unassigned = self._unassigned.copy()
+    def clone(self, into: "Solution | None" = None) -> "Solution":
+        """A copy of this solution.
+
+        A fresh copy duplicates the whole arena. With ``into`` (a solution
+        of the same instance) the copy goes into that solution's arena, which
+        is returned: only the live state is copied, the vectors whole and the
+        first ``n_tours`` tour rows (see the module doc), so whatever ``into``
+        held past them stays as stale bytes nothing reads.
+        """
+        if into is None:
+            dup = Solution.__new__(Solution)
+            dup.instance = self.instance
+            dup._bind(self._arena.copy())
+        else:
+            if into.instance is not self.instance:
+                raise InputError("clone into a solution of another instance")
+            dup = into
+            layout = self.instance._layout
+            src, dst = self._arena, into._arena
+            dst[: layout.whole] = src[: layout.whole]
+            for offset, row_bytes in layout.rows:
+                end = offset + self.n_tours * row_bytes
+                dst[offset:end] = src[offset:end]
         dup.n_tours = self.n_tours
         dup._total_cost = self._total_cost
         dup._prize_penalty = self._prize_penalty
@@ -316,7 +391,7 @@ class Solution:
 
     @property
     def unassigned(self) -> set[int]:
-        return set(int(c) for c in np.flatnonzero(self._unassigned))
+        return set(np.flatnonzero(self._unassigned).tolist())
 
     @property
     def num_unassigned(self) -> int:
@@ -450,6 +525,14 @@ def validate(solution: Solution) -> FeasibilityReport:
 
 
 def _coerce_ids(ids, n: int) -> list[int]:
+    if plain_ints(ids):
+        # the loop below on a list of ints: first occurrences, the first
+        # id out of range raises
+        out = list(dict.fromkeys(ids))
+        if out and (min(out) < 1 or max(out) > n):
+            c = next(c for c in out if c < 1 or c > n)
+            raise InputError(f"customer id out of range: {c}")
+        return out
     out = []
     seen = set()
     for raw in ids:

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import Instance, Solution
+from .util import plain_ints
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ def seed_random_remove(instance: Instance, solution: Solution, rng) -> list[int]
     k = int(rng.integers(10, 21))
     k = min(k, assigned.size)
     picked = rng.choice(assigned, size=k, replace=False)
-    return [int(c) for c in picked]
+    return picked.tolist()
 
 
 def seed_random_order(instance: Instance, ids, solution: Solution, rng) -> list[int]:
@@ -73,14 +74,15 @@ def string_remove(
 
     removed: list[int] = []
     hit_tours: set[int] = set()
-    tour_of = solution._tour_of
-    for c in [seed] + [int(x) for x in instance.adjacency[seed]]:
+    # the seed, then its neighbours nearest first; unassigned ones (and the
+    # depot) never start a string, so the walk passes over them in one step
+    walk = np.concatenate(([seed], instance.adjacency[seed]))
+    tours = solution._tour_of[walk]
+    served = tours >= 0
+    for c, t in zip(walk[served].tolist(), tours[served].tolist()):
         if len(hit_tours) >= params.max_strings or len(removed) >= target:
             break
-        if c == 0:
-            continue
-        t = int(tour_of[c])
-        if t < 0 or t in hit_tours:
+        if c == 0 or t in hit_tours:
             continue
         tour = solution.tour_customers(t)
         length = int(rng.integers(1, min(params.max_string_len, len(tour)) + 1))
@@ -96,15 +98,18 @@ _SORT_KEYS = ("demand_desc", "depot_distance_desc", "random")
 
 def sort_by_key(instance: Instance, ids, solution: Solution, rng, key: str) -> list[int]:
     """Stable sort of ids by the named key; ties fall back to ascending id."""
-    out = [int(c) for c in ids]
+    out = list(ids) if plain_ints(ids) else [int(c) for c in ids]
     if key == "random":
         rng.shuffle(out)
         return out
     if key == "demand_desc":
-        return sorted(out, key=lambda c: (-instance.demand[c], c))
-    if key == "depot_distance_desc":
-        return sorted(out, key=lambda c: (-instance.dist[0, c], c))
-    raise ConfigError(f"unknown sort key: {key!r}")
+        values = instance.demand
+    elif key == "depot_distance_desc":
+        values = instance.dist[0]
+    else:
+        raise ConfigError(f"unknown sort key: {key!r}")
+    arr = np.array(out, dtype=np.int64)
+    return arr[np.lexsort((arr, -values[arr]))].tolist()
 
 
 _REMOVE_BUILTINS: dict[str, Callable] = {

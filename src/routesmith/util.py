@@ -37,6 +37,12 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
+def plain_ints(seq) -> bool:
+    """Whether ``seq`` is a list of exact ``int``s: no ``bool``, float,
+    string or numpy scalar, which ``int()`` would convert first."""
+    return type(seq) is list and set(map(type, seq)) <= {int}
+
+
 def count_lines(source: str) -> int:
     """Number of non-empty lines after trimming trailing whitespace."""
     return sum(1 for line in source.splitlines() if line.rstrip())

@@ -256,6 +256,22 @@ class TestMutation:
 
 
 class TestGaRun:
+    def test_journal_keeps_iterations_per_instance(self, tmp_path):
+        # the marker fails some of the mock provider's candidates
+        evaluator = FakeEvaluator(fail_on=("getRandomNumber(2, 4)",))
+        make_run(tmp_path, config=make_config(iterations=1), evaluator=evaluator).run()
+        lines = (tmp_path / "individuals.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines]
+        ok = [r for r in records if r["eval_status"] == "ok"]
+        failed = [r for r in records if r["eval_status"] != "ok"]
+        assert ok and failed
+        assert all(r["eval_iterations"] == [7, 7] for r in ok)
+        assert all(r["eval_iterations"] == [] for r in failed)
+        # a line journaled before the field existed still loads
+        old = {k: v for k, v in ok[0].items() if k != "eval_iterations"}
+        assert Individual.from_record(old).eval_iterations == []
+        assert Individual.from_record(ok[0]).eval_iterations == [7, 7]
+
     def test_population_size_and_elite_monotonicity(self, tmp_path):
         run = make_run(tmp_path)
         best = run.run()

@@ -1,0 +1,223 @@
+"""Parity of the array fast paths with the loops they replace.
+
+The sanitizers and ``remove_customers``' id check take a fast path on
+lists of plain ints, ``sort_by_key``
+sorts with ``np.lexsort``, ``string_remove`` walks only the served
+neighbours of its seed and ``greedy_reinsert`` checks its order by count
+and mask. Each must return exactly what the loop kept here as a reference
+returns (the same values, all of type ``int``), raise where it raises, and
+draw the same random numbers.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from routesmith.errors import InputError, OperatorProtocolError
+from routesmith.instances import GenParams, generate
+from routesmith.lns import greedy_reinsert, initial_solution, sanitize_order, sanitize_removal
+from routesmith.model import Instance, Problem, Solution, _coerce_ids, remove_customers
+from routesmith.operators import StringRemovalParams, sort_by_key, string_remove
+from routesmith.util import make_rng
+
+
+def reference_removal(ids, solution):
+    n = solution.instance.num_customers
+    cap = (n + 1) // 2
+    out, seen = [], set()
+    for raw in ids:
+        try:
+            c = int(raw)
+        except (TypeError, ValueError):
+            continue
+        if c < 1 or c > n or c in seen or solution._tour_of[c] < 0:
+            continue
+        seen.add(c)
+        out.append(c)
+        if len(out) == cap:
+            break
+    return out
+
+
+def reference_coerce(ids, n):
+    out, seen = [], set()
+    for raw in ids:
+        c = int(raw)
+        if c < 1 or c > n:
+            raise InputError(f"customer id out of range: {c}")
+        if c not in seen:
+            seen.add(c)
+            out.append(c)
+    return out
+
+
+def reference_order(order, removed):
+    target = set(int(c) for c in removed)
+    out, seen = [], set()
+    for raw in order:
+        try:
+            c = int(raw)
+        except (TypeError, ValueError):
+            continue
+        if c in target and c not in seen:
+            seen.add(c)
+            out.append(c)
+    if len(seen) != len(target):
+        out.extend(sorted(target - seen))
+    return out
+
+
+def reference_sort(instance, ids, key):
+    out = [int(c) for c in ids]
+    if key == "demand_desc":
+        return sorted(out, key=lambda c: (-instance.demand[c], c))
+    return sorted(out, key=lambda c: (-instance.dist[0, c], c))
+
+
+def reference_string_remove(instance, solution, rng, params):
+    assigned = solution.assigned_ids()
+    if assigned.size == 0:
+        return []
+    target = int(rng.integers(max(1, params.avg_removed // 2), params.avg_removed * 2))
+    seed = int(assigned[int(rng.integers(assigned.size))])
+    removed, hit_tours = [], set()
+    for c in [seed] + [int(x) for x in instance.adjacency[seed]]:
+        if len(hit_tours) >= params.max_strings or len(removed) >= target:
+            break
+        if c == 0:
+            continue
+        t = int(solution._tour_of[c])
+        if t < 0 or t in hit_tours:
+            continue
+        tour = solution.tour_customers(t)
+        length = int(rng.integers(1, min(params.max_string_len, len(tour)) + 1))
+        pos = tour.index(c)
+        lo = max(0, min(pos - int(rng.integers(length)), len(tour) - length))
+        removed.extend(tour[lo : lo + length])
+        hit_tours.add(t)
+    return removed
+
+
+def same(a, b):
+    """Equal lists of exact ints (True == 1 and 2.0 == 2 would hide a miss)."""
+    return a == b and all(type(c) is int for c in a + b)
+
+
+N = 24
+ids_in_range = st.integers(-3, N + 3)
+# everything int() turns into an id, or refuses
+mixed_item = st.one_of(
+    ids_in_range,
+    st.booleans(),
+    st.floats(-3, N + 3, allow_nan=False),
+    ids_in_range.map(np.int64),
+    ids_in_range.map(str),
+    st.sampled_from(["x", None, 2**70, -(2**70)]),
+)
+id_lists = st.one_of(st.lists(ids_in_range, max_size=40), st.lists(mixed_item, max_size=40),
+                     st.permutations(list(range(-3, N + 4))))
+
+
+def partial_solution(seed, removed_share):
+    """An n=24 solution of a few tours with a share of customers detached."""
+    inst = generate(GenParams(n=N, seed=seed % 5, capacity=30))
+    sol = initial_solution(inst)
+    rng = make_rng(seed)
+    everyone = list(range(1, N + 1))
+    remove_customers(sol, everyone)
+    greedy_reinsert(sol, everyone)
+    k = int(removed_share * N)
+    remove_customers(sol, [int(c) for c in rng.choice(everyone, size=k, replace=False)])
+    return sol
+
+
+@settings(max_examples=200, deadline=None)
+@given(id_lists, st.integers(0, 50), st.sampled_from((0.0, 0.3, 0.9)))
+def test_sanitize_removal_matches_its_loop(ids, seed, share):
+    sol = partial_solution(seed, share)
+    out = sanitize_removal(ids, sol)
+    assert same(out, reference_removal(ids, sol))
+    assert sanitize_removal(out, sol) == out
+
+
+def outcome(fn, *args):
+    """What ``fn`` returns, or the type and text of what it raises."""
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    assert all(type(c) is int for c in out)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(id_lists, st.lists(st.integers(1, N), max_size=40)))
+def test_coerce_ids_matches_its_loop(ids):
+    assert outcome(_coerce_ids, ids, N) == outcome(reference_coerce, ids, N)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_lists, st.one_of(st.lists(st.integers(1, N), max_size=15),
+                           st.lists(mixed_item.filter(lambda c: not isinstance(c, str)
+                                                      and c is not None and abs(c) < 2**63),
+                                    max_size=15)))
+def test_sanitize_order_matches_its_loop(order, removed):
+    out = sanitize_order(order, removed)
+    assert same(out, reference_order(order, removed))
+    assert sanitize_order(out, removed) == out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.permutations(list(range(1, 16))), st.integers(0, 14))
+def test_sanitize_order_keeps_an_exact_permutation(order, cut):
+    """The shortcut for an order that is already exact, and its near misses."""
+    removed = sorted(order)
+    for candidate in (order, order[:cut], order + order[:cut], order[:cut] + [99]):
+        assert same(sanitize_order(candidate, removed), reference_order(candidate, removed))
+
+
+def tie_instance(seed):
+    """Lattice points and demands from a few values: keys tie often."""
+    rng = make_rng(seed)
+    coords = np.vstack([(0, 0), rng.integers(-3, 4, size=(N, 2))]).astype(float)
+    demand = np.concatenate(([0], rng.integers(1, 4, size=N)))
+    return Instance(Problem.CVRP, coords, demand, capacity=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 20), st.sampled_from(("demand_desc", "depot_distance_desc")),
+       st.one_of(st.lists(st.integers(1, N), max_size=30),
+                 st.lists(st.one_of(st.integers(1, N), st.integers(1, N).map(np.int64),
+                                    st.just(True), st.integers(1, N).map(float)),
+                          max_size=30)))
+def test_sort_by_key_matches_sorted(seed, key, ids):
+    inst = tie_instance(seed)
+    assert same(sort_by_key(inst, ids, None, make_rng(0), key), reference_sort(inst, ids, key))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 50), st.sampled_from((0.0, 0.3, 0.9)), st.integers(0, 2**32 - 1),
+       st.sampled_from((StringRemovalParams(), StringRemovalParams(3, 4, 2),
+                        StringRemovalParams(10, 30, 8))))
+def test_string_remove_matches_its_walk(seed, share, rng_seed, params):
+    sol = partial_solution(seed, share)
+    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+    out = string_remove(sol.instance, sol, rng, params)
+    assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params))
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_reinsert_refuses_every_non_permutation(gen):
+    inst = gen(n=6, seed=7)
+    sol = initial_solution(inst)
+    remove_customers(sol, [2, 4])
+    # -3 and -5 would index customers 4 and 2 from the end
+    for order in ([2, 2], [4, 4], [0, 2], [2, 7], [2, -3], [-5, 4], [2], [2, 4, 4], [6, 2],
+                  [2, 4, 2**40]):
+        with pytest.raises(OperatorProtocolError, match="permutation"):
+            greedy_reinsert(sol.clone(), order)
+    with pytest.raises(OperatorProtocolError, match="permutation"):
+        greedy_reinsert(Solution.from_tours(inst, [list(range(1, 7))]), [3])
+    for order in ([2, 4], [4, 2], np.array([4, 2])):
+        assert greedy_reinsert(sol.clone(), order).num_unassigned == 0

@@ -14,6 +14,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 from unittest import mock
 
@@ -166,32 +167,88 @@ def test_compiled_kernels_match_scalar_kernels(args, seed):
         _kernels.remove_ids_scalar, sol, ids)
 
 
+STATE = ("_nodes", "_lens", "_tdem", "_tcost", "_estart", "_lstart", "_tour_of", "_unassigned")
+
+
+def insert_direct(s, order, **swap):
+    """``greedy_insert`` on ``s``'s own arrays, the named ones swapped."""
+    inst = s.instance
+    commits = np.empty((order.shape[0], 2), dtype=np.int64)
+    return _kernels.greedy_insert(
+        *[swap.get(name, getattr(s, name)) for name in STATE], s.n_tours, order, inst.dist,
+        inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end, inst.prize,
+        inst.problem.code, commits)
+
+
+def remove_direct(s, ids, **swap):
+    """``remove_ids`` on ``s``'s own arrays, the named ones swapped."""
+    inst = s.instance
+    return _kernels.remove_ids(
+        *[swap.get(name, getattr(s, name)) for name in STATE], s.n_tours, ids, inst.dist,
+        inst.demand, inst.service, inst.tw_start, inst.tw_end, inst.problem is Problem.VRPTW)
+
+
 def test_compiled_kernels_refuse_arrays_they_cannot_read():
+    """Bad arrays go to the kernels directly, on a solution never passed
+    before and on one whose arrays a call has already recorded."""
     needs_c()
     sol, order = make_case(Problem.VRPTW, 12, 1, False, False, 1, 3)
     assert order.size and sol.n_tours
     ids = sol.assigned_ids()
     for convert in (lambda a: a.astype(np.int32), lambda a: np.repeat(a, 2)[::2]):
         with pytest.raises(InputError, match="order"):
-            call(_kernels.greedy_insert, sol, convert(order))
+            insert_direct(sol.clone(), convert(order))
         with pytest.raises(InputError, match="ids"):
-            call_remove(_kernels.remove_ids, sol, convert(ids))
-    # ``call`` passes copies, which are C-contiguous whatever the original
+            remove_direct(sol.clone(), convert(ids))
     for name, bad in (("_tdem", lambda a: a.astype(np.int32)),
+                      ("_tcost", lambda a: np.repeat(a, 2)[::2]),
                       ("_nodes", np.ravel),
                       ("_lstart", lambda a: a[:, :1].copy()),
                       ("_tour_of", lambda a: a[:-1].copy())):
-        broken = sol.clone()
-        setattr(broken, name, bad(getattr(broken, name)))
-        with pytest.raises(InputError, match=name[1:]):
-            call(_kernels.greedy_insert, broken, order)
-        with pytest.raises(InputError, match=name[1:]):
-            call_remove(_kernels.remove_ids, broken, ids)
-    s, inst = sol.clone(), sol.instance
+        for recorded in (False, True):
+            s = sol.clone()
+            if recorded:
+                remove_direct(s, ids[:0])
+                insert_direct(s, order[:0])
+            swap = {name: bad(getattr(s, name))}
+            with pytest.raises(InputError, match=name[1:]):
+                insert_direct(s, order, **swap)
+            with pytest.raises(InputError, match=name[1:]):
+                remove_direct(s, ids, **swap)
+    # after a recorded call: a rebound array, and a view made read-only
+    s = sol.clone()
+    insert_direct(s, order[:0])
+    s._tdem = s._tdem.astype(np.int32)
+    with pytest.raises(InputError, match="tdem"):
+        insert_direct(s, order)
+    with pytest.raises(InputError, match="tdem"):
+        remove_direct(s, ids)
+    s = sol.clone()
+    remove_direct(s, ids[:0])
+    s._tour_of.flags.writeable = False
     with pytest.raises(InputError, match="tour_of: the array is read-only"):
-        _kernels.remove_ids(s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart,
-                            s.customer_to_tour, s._unassigned, s.n_tours, ids, inst.dist,
-                            inst.demand, inst.service, inst.tw_start, inst.tw_end, True)
+        insert_direct(s, order)
+    with pytest.raises(InputError, match="tour_of: the array is read-only"):
+        remove_direct(s, ids)
+    s = sol.clone()
+    with pytest.raises(InputError, match="tour_of: the array is read-only"):
+        remove_direct(s, ids, _tour_of=s.customer_to_tour)
+
+
+def test_kernel_records_die_with_their_arrays():
+    """A record of checked arrays keeps neither a solution's arena nor an
+    instance's arrays alive, and goes away with them."""
+    needs_c()
+    sol, order = make_case(Problem.PCVRP, 12, 3, False, False, 1, 3)
+    inst = sol.instance
+    insert_direct(sol, order)
+    remove_direct(sol, sol.assigned_ids())
+    keys = id(sol._nodes), id(inst.dist)
+    assert keys[0] in _kernels._states and keys[1] in _kernels._inputs
+    arena, dist = weakref.ref(sol._arena), weakref.ref(inst.dist)
+    del sol, inst
+    assert arena() is None and dist() is None
+    assert keys[0] not in _kernels._states and keys[1] not in _kernels._inputs
 
 
 def test_missing_compiler_falls_back_to_interpreted(monkeypatch, tmp_path):

@@ -329,3 +329,71 @@ class TestRoundTripAndCaches:
                 insert_customer(sol, customer, t, p)
                 report = validate(sol)
                 assert not {"capacity", "time_window", "duplicate"} & report.kinds()
+
+
+class TestArena:
+    @staticmethod
+    def _live(sol):
+        """Everything the kernels may read: the vectors and the live slots."""
+        timed = sol.instance.problem is Problem.VRPTW
+        rows = [(sol._nodes[t, :L].tolist(),
+                 (sol._estart[t, :L].tolist(), sol._lstart[t, :L].tolist()) if timed else None)
+                for t, L in enumerate(sol._lens[: sol.n_tours].tolist())]
+        vectors = [a.tobytes() for a in (sol._lens, sol._tdem, sol._tcost, sol._tour_of,
+                                         sol._unassigned)]
+        return sol.n_tours, sol.total_objective, rows, vectors
+
+    @pytest.mark.parametrize("problem", ["cvrp", "vrptw", "pcvrp"])
+    def test_clone_into_a_spare_with_stale_rows(self, gen, problem):
+        """A clone into a spare that holds another solution's rows past
+        ``n_tours`` matches a fresh clone, and so do the next detach and
+        reinsertion on both."""
+        from routesmith.lns import greedy_reinsert, initial_solution
+
+        inst = gen(problem=problem, n=40, seed=5, capacity=30)
+        source = initial_solution(inst)
+        everyone = list(range(1, 41))
+        remove_customers(source, everyone)
+        greedy_reinsert(source, everyone)
+        spare = initial_solution(inst)  # one live singleton row per customer
+        assert spare.n_tours > source.n_tours
+        stale = spare._nodes[source.n_tours : spare.n_tours].copy()
+
+        fresh = source.clone()
+        into = source.clone(into=spare)
+        assert into is spare
+        assert (spare._nodes[source.n_tours : 40] == stale).all()  # left as they were
+        for sol in (fresh, spare):
+            assert [t.customers for t in sol.tours] == [t.customers for t in source.tours]
+            assert sol.unassigned == source.unassigned
+            assert sol.total_objective == source.total_objective
+            assert validate(sol) == validate(source) and validate(sol).feasible
+            assert self._live(sol) == self._live(source)
+
+        rng = make_rng(8)
+        for _ in range(20):
+            ids = [int(c) for c in rng.choice(everyone, size=12, replace=False)]
+            for sol in (fresh, spare):
+                remove_customers(sol, ids)
+            assert self._live(spare) == self._live(fresh)
+            order = [int(c) for c in rng.permutation(sorted(fresh.unassigned))]
+            for sol in (fresh, spare):
+                greedy_reinsert(sol, order)
+            assert self._live(spare) == self._live(fresh)
+            assert validate(spare) == validate(fresh)
+
+    def test_clone_into_another_instance_is_refused(self, gen):
+        a, b = gen(n=10, seed=1), gen(n=10, seed=1)
+        with pytest.raises(InputError, match="another instance"):
+            Solution.empty(a).clone(into=Solution.empty(b))
+
+    def test_state_arrays_are_views_of_one_arena(self, gen):
+        for problem in ("cvrp", "vrptw", "pcvrp"):
+            sol = Solution.from_tours(gen(problem=problem, n=12, seed=2), [[1, 2], [3]])
+            for dup in (sol, sol.clone(), sol.clone(into=Solution(sol.instance))):
+                for name, dtype, shape, _ in sol.instance._layout.fields:
+                    arr = getattr(dup, name)
+                    assert arr.base is dup._arena
+                    assert (arr.dtype, arr.shape) == (np.dtype(dtype), shape)
+                    assert arr.ctypes.data % 8 == 0
+            assert sol.unassigned == set(range(4, 13))
