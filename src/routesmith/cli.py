@@ -233,9 +233,12 @@ def cmd_bench(args) -> int:
     # builds the compiled kernels, if needed, before any worker or clock starts
     lns.warm_kernels()
     if args.jobs > 1:
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # numpy has started a BLAS thread in this process, so workers must not fork from it
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=args.jobs, mp_context=spawn) as pool:
             rows = list(pool.map(_bench_one, tasks))
     else:
         rows = [_bench_one(task) for task in tasks]
@@ -399,34 +402,33 @@ def cmd_discover(args) -> int:
     gateway = _build_gateway(dict(raw.get("llm", {})), args.provider)
     eval_cfg = dict(raw.get("evaluator", {}))
     _check_keys(eval_cfg, _EVAL_KEYS, "evaluator")
-    evaluator = Evaluator(
+    with Evaluator(
         cache_dir=out_dir / "cache",
         workers=int(eval_cfg.get("workers", 2)),
         smoke_test=bool(eval_cfg.get("smoke_test", True)),
-    )
+    ) as evaluator:
+        run = DiscoveryRun(config, gateway, evaluator, train_paths, out_dir)
+        best_training = run.run(resume=resume)
+        (out_dir / "best-training.py").write_text(best_training.source)
 
-    run = DiscoveryRun(config, gateway, evaluator, train_paths, out_dir)
-    best_training = run.run(resume=resume)
-    (out_dir / "best-training.py").write_text(best_training.source)
-
-    report = {
-        "best_training": best_training.to_record(),
-        "iterations": run.completed_iterations,
-        "history": run.history,
-        "cost_ledger": gateway.ledger.to_dict(),
-    }
-    if validation_paths:
-        chosen = select_best_by_validation(
-            run.finalists(),
-            validation_paths,
-            evaluator,
-            master_seed=config.master_seed,
-            per_instance_time=config.per_instance_time,
-            per_instance_iterations=config.per_instance_iterations,
-        )
-        (out_dir / "best-validated.py").write_text(chosen.source)
-        report["best_validated"] = chosen.to_record()
-        report["cost_ledger"] = gateway.ledger.to_dict()
+        report = {
+            "best_training": best_training.to_record(),
+            "iterations": run.completed_iterations,
+            "history": run.history,
+            "cost_ledger": gateway.ledger.to_dict(),
+        }
+        if validation_paths:
+            chosen = select_best_by_validation(
+                run.finalists(),
+                validation_paths,
+                evaluator,
+                master_seed=config.master_seed,
+                per_instance_time=config.per_instance_time,
+                per_instance_iterations=config.per_instance_iterations,
+            )
+            (out_dir / "best-validated.py").write_text(chosen.source)
+            report["best_validated"] = chosen.to_record()
+            report["cost_ledger"] = gateway.ledger.to_dict()
     (out_dir / "report.json").write_text(json.dumps(report, indent=1, default=str) + "\n")
     print(f"best training fitness: {best_training.fitness:.6f} (individual {best_training.id})")
     if validation_paths:

@@ -46,6 +46,9 @@ class Individual:
     eval_iterations: list[int] = field(default_factory=list)
     eval_status: str = "unevaluated"
     validation_mean: float | None = None
+    # supervisor timings per training instance (startup_s, run_s, peak_rss_mb);
+    # journal lines carry them, checkpoints do not, as they differ run to run
+    eval_timing: list[dict] = field(default_factory=list)
 
     @property
     def evaluated(self) -> bool:
@@ -56,7 +59,9 @@ class Individual:
         return self.fitness is not UNEVALUATED and math.isinf(self.fitness)
 
     def to_record(self) -> dict:
+        """The checkpoint record: everything but ``eval_timing``."""
         rec = asdict(self)
+        del rec["eval_timing"]
         rec["parents"] = list(self.parents)
         if self.fitness is not None and math.isinf(self.fitness):
             rec["fitness"] = "disqualified"
@@ -78,6 +83,7 @@ class Individual:
             eval_iterations=list(rec.get("eval_iterations", [])),
             eval_status=rec.get("eval_status", "unevaluated"),
             validation_mean=rec.get("validation_mean"),
+            eval_timing=list(rec.get("eval_timing", [])),
         )
 
 
@@ -187,7 +193,7 @@ class DiscoveryRun:
 
     def _journal(self, ind: Individual) -> None:
         with open(self.run_dir / "individuals.jsonl", "a") as fh:
-            fh.write(json.dumps(ind.to_record()) + "\n")
+            fh.write(json.dumps(dict(ind.to_record(), eval_timing=ind.eval_timing)) + "\n")
 
     def _manifest(self, iteration: int) -> EvalManifest:
         cfg = self.config
@@ -209,6 +215,7 @@ class DiscoveryRun:
         ind.eval_status = report.status
         ind.eval_detail = report.objectives() if report.ok else []
         ind.eval_iterations = [r.iterations for r in report.per_instance] if report.ok else []
+        ind.eval_timing = [r.timing() for r in report.per_instance] if report.ok else []
         ind.fitness = fitness(ind, report, self.config.lam)
         self._journal(ind)
 

@@ -4,12 +4,18 @@
 interface and stores it as a content-addressed artifact. ``evaluate`` runs
 one supervised child process per training instance: the child executes the
 full LNS loop with the candidate operators and emits line-delimited JSON
-records on stdout. The child caps its own address space at the manifest's
-memory limit before it loads candidate code; the supervisor enforces the
-wall-clock limits, rebuilds and re-validates the returned tours with the
-core validator (a result without tours is invalid), and maps every failure
-mode to a report status. A crashing or resource-hogging candidate
-can only ever take down its own child process.
+records on stdout. Children fork from a warm server that the ``Evaluator``
+starts on its first evaluation (``python -m routesmith.evalchild --serve``):
+it has numpy, the package and the compiled kernels loaded and never runs
+candidate code itself, and each child starts a new session and closes every
+descriptor other than 0-2 before it loads the candidate. The child caps its
+own address space at the manifest's memory limit before it loads candidate
+code; the supervisor enforces the wall-clock limits, rebuilds and
+re-validates the returned tours with the core validator (a result without
+tours is invalid), and maps every failure mode to a report status. A
+crashing or resource-hogging candidate can only ever take down its own
+child process. ``Evaluator.close`` (or leaving its ``with`` block) stops
+the server; so does collecting the evaluator or the end of the process.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ import sys
 import tempfile
 import threading
 import time
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import instances as inst_io
@@ -42,6 +49,9 @@ RUN_GRACE_FACTOR = 1.1
 RUN_GRACE_CONST = 1.0
 STARTUP_TIMEOUT = 120.0
 MAX_CHILD_OUTPUT = 64 * 1024 * 1024
+# how often the supervisor checks a running child's budget and output; the
+# child's exit wakes it at once
+SUPERVISE_TICK = 0.05
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,14 @@ class InstanceResult:
     feasible: bool
     iterations: int
     detail: str = ""
+    # measured by the supervisor: submit -> ready, ready -> result, and the
+    # child's peak RSS from the server's wait4
+    startup_s: float | None = None
+    run_s: float | None = None
+    peak_rss_mb: float | None = None
+
+    def timing(self) -> dict:
+        return {"startup_s": self.startup_s, "run_s": self.run_s, "peak_rss_mb": self.peak_rss_mb}
 
 
 @dataclass
@@ -194,17 +212,98 @@ class _OutputReader(threading.Thread):
             self.done_at = time.monotonic()
 
 
+class _ChildServer:
+    """The warm ``evalchild --serve`` process that forks evaluation children.
+
+    Jobs go to it over one SOCK_SEQPACKET control socket, one message each:
+    the manifest path, with the write ends of the child's stdout and stderr
+    pipes and the server's end of a per-job reply socket attached. Closing
+    the control socket ends the server, which kills its live jobs first.
+    """
+
+    def __init__(self):
+        import socket
+
+        self._control, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        # numpy's import would otherwise start a BLAS thread, and the server forks
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-u", "-m", "routesmith.evalchild", "--serve", str(theirs.fileno())],
+                stdin=subprocess.DEVNULL,
+                stdout=subprocess.DEVNULL,
+                pass_fds=(theirs.fileno(),),
+                env=env,
+            )
+        except OSError as exc:
+            self._control.close()
+            raise BuildEnvironmentError(f"cannot start the evaluation server: {exc}") from exc
+        finally:
+            theirs.close()
+
+    def submit(self, manifest_path: Path, out_w: int, err_w: int):
+        """Start one child; returns the supervisor's end of its reply socket."""
+        import socket
+
+        ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
+        try:
+            socket.send_fds(
+                self._control, [os.fsencode(manifest_path)], [out_w, err_w, theirs.fileno()]
+            )
+        except OSError as exc:
+            ours.close()
+            raise BuildEnvironmentError(f"evaluation server stopped: {exc}") from exc
+        finally:
+            theirs.close()
+        return ours
+
+    def close(self) -> None:
+        self._control.close()
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.proc.wait()
+
+
+def _reply(sock, timeout: float) -> dict | None:
+    """The next message on a job's reply socket: None after ``timeout``, and
+    an empty dict once the server is gone (the socket's end of file)."""
+    import select
+
+    if not select.select([sock], [], [], timeout)[0]:
+        return None
+    message = sock.recv(4096)
+    return json.loads(message) if message else {}
+
+
+def _drain(fd: int) -> bytes:
+    """What a finished child left in a pipe, without waiting on stragglers."""
+    os.set_blocking(fd, False)
+    chunks = []
+    try:
+        while chunk := os.read(fd, 65536):
+            chunks.append(chunk)
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _run_child(
+    server: _ChildServer,
     artifact: BuildArtifact,
     entry_id: str,
     instance_path: str,
     seed: int,
     manifest: EvalManifest,
     workdir: Path,
-) -> tuple[str, dict | None, str]:
-    """Run one instance in a supervised subprocess.
+) -> tuple[str, dict | None, str, dict]:
+    """Run one instance in a supervised child forked by ``server``.
 
-    Returns (status, result record or None, detail).
+    Returns (status, result record or None, detail, timing); timing holds
+    ``startup_s``, ``run_s`` and ``peak_rss_mb``, each None if not reached.
     """
     child_manifest = {
         "id": entry_id,
@@ -218,63 +317,82 @@ def _run_child(
     manifest_path = workdir / f"{entry_id}.json"
     manifest_path.write_text(json.dumps(child_manifest))
 
+    out_r, out_w = os.pipe()
+    err_r, err_w = os.pipe()
+    submit_at = time.monotonic()
     try:
-        proc = subprocess.Popen(
-            [sys.executable, "-u", "-m", "routesmith.evalchild", str(manifest_path)],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-    except OSError as exc:
-        raise BuildEnvironmentError(f"cannot spawn evaluation child: {exc}") from exc
+        reply = server.submit(manifest_path, out_w, err_w)
+    except BaseException:
+        os.close(out_r)
+        os.close(err_r)
+        raise
+    finally:
+        os.close(out_w)
+        os.close(err_w)
 
-    reader = _OutputReader(proc.stdout)
+    reader = _OutputReader(open(out_r, "rb"))
     reader.start()
-    spawn_at = time.monotonic()
     run_budget = manifest.per_instance_time * RUN_GRACE_FACTOR + RUN_GRACE_CONST
 
     status = "ok"
     detail = ""
-    killed = False
-    while True:
-        if proc.poll() is not None:
-            break
-        now = time.monotonic()
-        if reader.ready_at is None:
-            if now - spawn_at > STARTUP_TIMEOUT:
-                status, detail, killed = "runtime_error", "child startup timed out", True
-                break
-        else:
-            if now - reader.ready_at > run_budget:
-                status, detail, killed = "timeout", f"exceeded {run_budget:.1f}s run budget", True
-                break
-        if reader.flooded:
-            status, detail, killed = "invalid_output", "child flooded stdout", True
-            break
-        time.sleep(0.02)
-
-    if killed:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+    pid = None
+    exit_info = None
+    message = None
     try:
-        proc.wait(timeout=10)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
-    reader.join(timeout=5)
-    stderr_tail = b""
-    if proc.stderr is not None:
-        try:
-            stderr_tail = proc.stderr.read() or b""
-        except Exception:
-            pass
-        proc.stderr.close()
-    stderr_text = stderr_tail[-8192:].decode("utf-8", "replace")
+        with reply:
+            try:
+                while True:
+                    message = _reply(reply, SUPERVISE_TICK)
+                    if message == {}:
+                        if pid is None:
+                            raise BuildEnvironmentError("evaluation server stopped before the child started")
+                        status, detail = "runtime_error", "evaluation server stopped during the run"
+                        break
+                    if message is not None:
+                        if "pid" not in message:
+                            exit_info = message
+                            break
+                        pid = message["pid"]
+                    now = time.monotonic()
+                    if reader.ready_at is None:
+                        if now - submit_at > STARTUP_TIMEOUT:
+                            status, detail = "runtime_error", "child startup timed out"
+                            break
+                    elif now - reader.ready_at > run_budget:
+                        status, detail = "timeout", f"exceeded {run_budget:.1f}s run budget"
+                        break
+                    if reader.flooded:
+                        status, detail = "invalid_output", "child flooded stdout"
+                        break
+            finally:
+                if exit_info is None and pid is not None:
+                    try:
+                        os.killpg(pid, signal.SIGKILL)
+                    except (ProcessLookupError, PermissionError):
+                        pass
+            # the server replies a killed child's exit once it has reaped it
+            deadline = time.monotonic() + 10
+            while exit_info is None and message != {} and time.monotonic() < deadline:
+                message = _reply(reply, deadline - time.monotonic())
+                if message and "pid" not in message:
+                    exit_info = message
+    finally:
+        if exit_info is None:
+            # the server is gone or not answering: the evaluator replaces it, and
+            # the supervisors of its other live jobs kill their groups
+            server.proc.kill()
+        reader.join(timeout=5)
+        stderr_text = _drain(err_r)[-8192:].decode("utf-8", "replace")
 
+    timing = {
+        "startup_s": None if reader.ready_at is None else reader.ready_at - submit_at,
+        "run_s": None if None in (reader.ready_at, reader.done_at) else reader.done_at - reader.ready_at,
+        # ru_maxrss is in KiB on Linux
+        "peak_rss_mb": None if exit_info is None else exit_info["maxrss_kb"] / 1024.0,
+    }
     if status != "ok":
-        return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail
+        return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail, timing
 
     result = None
     error_record = None
@@ -284,22 +402,23 @@ def _run_child(
         elif record.get("type") == "error":
             error_record = record
     if error_record is not None:
-        return "runtime_error", None, str(error_record.get("message", ""))[:2000]
-    if proc.returncode != 0:
-        return "runtime_error", None, f"exit code {proc.returncode}; stderr: {stderr_text}"
+        return "runtime_error", None, str(error_record.get("message", ""))[:2000], timing
+    if exit_info["returncode"] != 0:
+        return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}", timing
     if result is None:
-        return "invalid_output", None, f"no result record; stderr: {stderr_text}"
-    return "ok", result, ""
+        return "invalid_output", None, f"no result record; stderr: {stderr_text}", timing
+    return "ok", result, "", timing
 
 
 class Evaluator:
     """Scores candidate sources by supervised execution over instances.
 
-    ``workers`` child processes run concurrently; a preflight smoke run on
-    one tiny instance gates the full manifest so broken candidates fail
-    fast. Reports are cached by (source digest, manifest digest): with
-    fixed per-instance seeds and an iteration budget they are
-    deterministic.
+    ``workers`` child processes run concurrently, each forked from the
+    evaluator's warm child server; a preflight smoke run on one tiny
+    instance gates the full manifest so broken candidates fail fast.
+    Reports are cached by (source digest, manifest digest): with fixed
+    per-instance seeds and an iteration budget they are deterministic.
+    Use it as a context manager, or call ``close``, to stop the server.
     """
 
     def __init__(self, cache_dir, workers: int = 2, smoke_test: bool = True):
@@ -310,9 +429,38 @@ class Evaluator:
         self._report_cache: dict[tuple[str, str], EvalReport] = {}
         self._instance_cache: dict[str, object] = {}
         self._smoke_manifest: EvalManifest | None = None
+        # started by the first child, so an evaluator that never evaluates costs nothing
+        self._server: _ChildServer | None = None
+        self._server_lock = threading.Lock()
+        self._close_server: weakref.finalize | None = None
         # children only load the compiled kernels (they run under RLIMIT_AS),
         # so they are built here, before any child starts
         lns.warm_kernels()
+
+    def _child_server(self) -> _ChildServer:
+        with self._server_lock:
+            if self._server is not None and self._server.proc.poll() is not None:
+                self._close_server()  # a candidate may have killed it
+                self._server = None
+            if self._server is None:
+                self._server = _ChildServer()
+                # an evaluator collected or alive at exit still stops its server
+                self._close_server = weakref.finalize(self, self._server.close)
+            return self._server
+
+    def close(self) -> None:
+        """Stop the child server; a later evaluation starts a new one."""
+        with self._server_lock:
+            if self._close_server is not None:
+                self._close_server()
+            self._server = self._close_server = None
+
+    def __enter__(self) -> "Evaluator":
+        return self
+
+    def __exit__(self, *exc) -> bool:
+        self.close()
+        return False
 
     # -- helpers ---------------------------------------------------------
 
@@ -398,13 +546,15 @@ class Evaluator:
         return EvalReport(status="ok", per_instance=per_instance)
 
     def _run_entry(self, artifact, entry_id, path, seed, manifest, workdir):
-        status, record, detail = _run_child(artifact, entry_id, path, seed, manifest, workdir)
+        status, record, detail, timing = _run_child(
+            self._child_server(), artifact, entry_id, path, seed, manifest, workdir
+        )
         if status != "ok":
             return status, None, detail
         status, result = self._revalidate(entry_id, record, path)
         if status != "ok":
             return status, None, "result failed supervisor re-validation"
-        return "ok", result, ""
+        return "ok", replace(result, **timing), ""
 
     # -- public API ------------------------------------------------------
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 
 import pytest
 
@@ -112,6 +113,20 @@ class TestBench:
         assert results["kernel_backend"] == _kernels.BACKEND
         assert results["kernel_backend_reason"] == _kernels.BACKEND_REASON
 
+    def test_worker_processes_reproduce_serial_rows(self, gen_dir, tmp_path):
+        rows = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"bench-jobs-{jobs}"
+            rc = run_cli(
+                "bench", "--instances", gen_dir / "train-manifest.json",
+                "--pair", "seed_random:random", "--iterations", "200", "--seed", "5",
+                "--jobs", jobs, "--out", out,
+            )
+            assert rc == 0
+            results = json.loads((out / "results.json").read_text())
+            rows[jobs] = [(r["objective"], r["iterations"]) for r in results["rows"]]
+        assert rows["2"] == rows["1"]
+
     def test_requires_a_pair(self, gen_dir, tmp_path):
         rc = run_cli(
             "bench", "--instances", gen_dir / "train-manifest.json",
@@ -142,6 +157,24 @@ def discover_config(gen_dir, **overrides):
     return config
 
 
+def child_servers() -> list[int]:
+    """Pids of evaluation servers that are children of this process."""
+    found = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read().split(b"\0")
+        except OSError:  # exited while we looked
+            continue
+        if ppid == os.getpid() and b"--serve" in cmdline:
+            found.append(int(entry))
+    return found
+
+
 class TestDiscover:
     def test_mock_discovery_end_to_end(self, gen_dir, tmp_path):
         cfg_path = tmp_path / "config.json"
@@ -155,7 +188,10 @@ class TestDiscover:
         assert report["cost_ledger"]["calls"] > 0
         assert (out / "best-training.py").exists()
         assert (out / "best-validated.py").exists()
-        assert (out / "individuals.jsonl").exists()
+        records = [json.loads(line) for line in (out / "individuals.jsonl").read_text().splitlines()]
+        timings = [t for r in records for t in r["eval_timing"]]
+        assert timings and all(t["startup_s"] > 0 and t["peak_rss_mb"] > 0 for t in timings)
+        assert not child_servers(), "discover left its evaluation server running"
 
     def test_unknown_config_key_rejected(self, gen_dir, tmp_path):
         cfg = discover_config(gen_dir)

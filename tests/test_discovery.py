@@ -37,7 +37,10 @@ class FakeEvaluator:
                 return EvalReport(status="runtime_error", build_log="fake failure")
         score = self.score_fn or self._score
         per = [
-            InstanceResult(id=f"inst-{i:03d}", objective=score(source, i), feasible=True, iterations=7)
+            InstanceResult(
+                id=f"inst-{i:03d}", objective=score(source, i), feasible=True, iterations=7,
+                startup_s=0.01, run_s=0.02, peak_rss_mb=30.0,
+            )
             for i in range(len(manifest.instance_paths))
         ]
         return EvalReport(status="ok", per_instance=per)
@@ -271,6 +274,20 @@ class TestGaRun:
         old = {k: v for k, v in ok[0].items() if k != "eval_iterations"}
         assert Individual.from_record(old).eval_iterations == []
         assert Individual.from_record(ok[0]).eval_iterations == [7, 7]
+
+    def test_journal_keeps_timings_and_checkpoints_do_not(self, tmp_path):
+        evaluator = FakeEvaluator(fail_on=("getRandomNumber(2, 4)",))
+        make_run(tmp_path, config=make_config(iterations=1), evaluator=evaluator).run()
+        records = [json.loads(line) for line in (tmp_path / "individuals.jsonl").read_text().splitlines()]
+        timing = {"startup_s": 0.01, "run_s": 0.02, "peak_rss_mb": 30.0}
+        assert all(r["eval_timing"] == [timing, timing] for r in records if r["eval_status"] == "ok")
+        assert all(r["eval_timing"] == [] for r in records if r["eval_status"] != "ok")
+        state = json.loads((tmp_path / "checkpoints" / "latest.json").read_text())
+        assert all("eval_timing" not in rec for rec in state["individuals"].values())
+        # lines journaled before the field existed still load
+        old = {k: v for k, v in records[0].items() if k != "eval_timing"}
+        assert Individual.from_record(old).eval_timing == []
+        assert Individual.from_record(records[0]).eval_timing == records[0]["eval_timing"]
 
     def test_population_size_and_elite_monotonicity(self, tmp_path):
         run = make_run(tmp_path)

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import os
 import time
 
 import pytest
@@ -133,6 +135,120 @@ def select_by_llm_1(sol):
 def sort_by_llm_1(customers, instance):
     pass
 """
+
+
+# rebinds engine functions and module globals, then runs the seed operators
+REBINDER = """\
+import routesmith._kernels as _kernels
+import routesmith.lns as _lns
+
+_lns.accept = lambda current, candidate, *args: candidate
+_greedy_insert = _kernels.greedy_insert
+_kernels.greedy_insert = lambda *args, **kwargs: _greedy_insert(*args, **kwargs)
+_lns._VALIDATE_SAMPLE = 1
+""" + SEED_SOURCE
+
+FD_PROBE = """\
+import os
+
+
+def select_by_llm_1(sol):
+    open_fds = []
+    for fd in range(3, 256):
+        try:
+            os.fstat(fd)
+        except OSError:
+            continue
+        open_fds.append(fd)
+    if open_fds:
+        raise RuntimeError(f"descriptors above 2 are open: {open_fds}")
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+# starts `sleep 600`, writes its pid to the file named by {pid_file!r}, then hangs
+SPAWNING_SLEEPER = """\
+import subprocess
+import time
+
+
+def select_by_llm_1(sol):
+    grandchild = subprocess.Popen(["sleep", "600"])
+    with open({pid_file!r}, "w") as fh:
+        fh.write(str(grandchild.pid))
+    time.sleep(3600)
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+
+# leaves through SystemExit, which lns.run does not catch
+QUITTER = """\
+import sys
+
+
+def select_by_llm_1(sol):
+    sys.exit("candidate quit")
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+# kills the process that forked it, once, in the middle of its run
+SERVER_KILLER = """\
+import os
+import signal
+
+_parent = os.getppid()
+
+
+def select_by_llm_1(sol):
+    global _parent
+    if _parent:
+        os.kill(_parent, signal.SIGKILL)
+        _parent = 0
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
+
+
+def _holds_pipe(pid: int) -> bool:
+    for fd in os.listdir(f"/proc/{pid}/fd"):
+        try:
+            if os.readlink(f"/proc/{pid}/fd/{fd}").startswith("pipe:"):
+                return True
+        except FileNotFoundError:  # closed while we looked
+            pass
+    return False
+
+
+def _gone_within(pid: int, seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while _running(pid):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
 
 
 class TestBuild:
@@ -294,6 +410,80 @@ class TestEvaluate:
         assert report.status == "runtime_error"
         assert "preflight" in report.build_log
         assert time.monotonic() - started < 30
+
+
+class TestChildServer:
+    def test_rebinding_candidate_does_not_reach_later_jobs(self, tmp_path, train_files):
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path / "a", workers=1, smoke_test=False) as ev:
+            ev.evaluate_source(REBINDER, m)
+            after = ev.evaluate_source(SEED_SOURCE, m)
+        with Evaluator(tmp_path / "b", workers=1, smoke_test=False) as ev:
+            fresh = ev.evaluate_source(SEED_SOURCE, m)
+        assert after.status == fresh.status == "ok"
+        assert after.objectives() == fresh.objectives()
+
+    def test_child_holds_no_descriptor_above_stderr(self, tmp_path, train_files):
+        with Evaluator(tmp_path, smoke_test=False) as ev:
+            report = ev.evaluate_source(FD_PROBE, manifest_for(train_files, per_instance_iterations=20))
+        assert report.status == "ok", report.build_log
+
+    def test_timed_out_child_takes_its_grandchild_along(self, tmp_path, train_files):
+        pid_file = tmp_path / "grandchild.pid"
+        source = SPAWNING_SLEEPER.format(pid_file=str(pid_file))
+        m = manifest_for(train_files[:1], per_instance_time=0.5, per_instance_iterations=None)
+        with Evaluator(tmp_path / "cache", smoke_test=False) as ev:
+            report = ev.evaluate_source(source, m)
+        assert report.status == "timeout"
+        assert _gone_within(int(pid_file.read_text()), 10)
+
+    def test_system_exit_ends_only_the_child(self, tmp_path, train_files):
+        with Evaluator(tmp_path, smoke_test=False) as ev:
+            report = ev.evaluate_source(QUITTER, manifest_for(train_files))
+            assert report.status == "runtime_error"
+            assert "exit code 1" in report.build_log and "candidate quit" in report.build_log
+            assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+
+    def test_killed_server_fails_the_job_and_is_replaced(self, tmp_path, train_files):
+        with Evaluator(tmp_path, workers=1, smoke_test=False) as ev:
+            report = ev.evaluate_source(SERVER_KILLER, manifest_for(train_files[:1]))
+            assert report.status == "runtime_error"
+            assert "server stopped" in report.build_log
+            assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+
+    def test_server_is_single_threaded_and_stops_on_close(self, tmp_path, train_files):
+        ev = Evaluator(tmp_path, smoke_test=False)
+        assert ev._server is None  # nothing starts before the first evaluation
+        pid = ev._child_server().proc.pid
+        # the server opens its SIGCHLD wake-up pipe once its imports are done
+        deadline = time.monotonic() + 60
+        while not _holds_pipe(pid):
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        assert os.listdir(f"/proc/{pid}/task") == [str(pid)]  # as at its first fork
+        assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+        assert os.listdir(f"/proc/{pid}/task") == [str(pid)]
+        ev.close()
+        assert not os.path.exists(f"/proc/{pid}")  # exited and reaped
+        # a closed evaluator starts a new server when it evaluates again
+        assert ev.evaluate_source(CRASHING, manifest_for(train_files)).status == "runtime_error"
+        ev.close()
+
+    def test_collected_evaluator_stops_its_server(self, tmp_path, train_files):
+        ev = Evaluator(tmp_path, smoke_test=False)
+        assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files[:1])).ok
+        pid = ev._server.proc.pid
+        del ev
+        gc.collect()
+        assert not os.path.exists(f"/proc/{pid}")  # exited and reaped
+
+    def test_supervisor_times_each_child(self, tmp_path, train_files):
+        with Evaluator(tmp_path, smoke_test=False) as ev:
+            report = ev.evaluate_source(SEED_SOURCE, manifest_for(train_files))
+        for r in report.per_instance:
+            assert 0 < r.startup_s < 60
+            assert 0 < r.run_s < 60
+            assert 10 < r.peak_rss_mb < 4096
 
 
 class TestChild:
