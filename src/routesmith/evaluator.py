@@ -52,6 +52,9 @@ MAX_CHILD_OUTPUT = 64 * 1024 * 1024
 # how often the supervisor checks a running child's budget and output; the
 # child's exit wakes it at once
 SUPERVISE_TICK = 0.05
+# how long the supervisor waits for the server to reap a child it killed
+# before it takes the server for stopped and replaces it
+REAP_TIMEOUT = 2.0
 
 
 @dataclass(frozen=True)
@@ -250,12 +253,18 @@ class _ChildServer:
             socket.send_fds(
                 self._control, [os.fsencode(manifest_path)], [out_w, err_w, theirs.fileno()]
             )
-        except OSError as exc:
+        except BaseException:
             ours.close()
-            raise BuildEnvironmentError(f"evaluation server stopped: {exc}") from exc
+            raise
         finally:
             theirs.close()
         return ours
+
+    def kill(self) -> None:
+        """Kill a server that is gone or not answering, and reap it, so the
+        evaluator's next job sees it dead and starts a new one."""
+        self.proc.kill()
+        self.proc.wait()
 
     def close(self) -> None:
         self._control.close()
@@ -299,11 +308,12 @@ def _run_child(
     seed: int,
     manifest: EvalManifest,
     workdir: Path,
-) -> tuple[str, dict | None, str, dict]:
+) -> tuple[str, dict | None, str]:
     """Run one instance in a supervised child forked by ``server``.
 
-    Returns (status, result record or None, detail, timing); timing holds
-    ``startup_s``, ``run_s`` and ``peak_rss_mb``, each None if not reached.
+    Returns (status, result record or None, detail). An ok record carries
+    the supervisor's ``timing`` of the child: ``startup_s``, ``run_s`` and
+    ``peak_rss_mb``. A server that is gone fails the job; it never raises.
     """
     child_manifest = {
         "id": entry_id,
@@ -322,10 +332,14 @@ def _run_child(
     submit_at = time.monotonic()
     try:
         reply = server.submit(manifest_path, out_w, err_w)
-    except BaseException:
+    except BaseException as exc:
         os.close(out_r)
         os.close(err_r)
-        raise
+        if not isinstance(exc, OSError):
+            raise
+        # a candidate may have killed the server; the evaluator replaces it
+        server.kill()
+        return "runtime_error", None, f"evaluation server stopped: {exc}"
     finally:
         os.close(out_w)
         os.close(err_w)
@@ -345,9 +359,8 @@ def _run_child(
                 while True:
                     message = _reply(reply, SUPERVISE_TICK)
                     if message == {}:
-                        if pid is None:
-                            raise BuildEnvironmentError("evaluation server stopped before the child started")
-                        status, detail = "runtime_error", "evaluation server stopped during the run"
+                        stage = "before the child started" if pid is None else "during the run"
+                        status, detail = "runtime_error", f"evaluation server stopped {stage}"
                         break
                     if message is not None:
                         if "pid" not in message:
@@ -372,7 +385,7 @@ def _run_child(
                     except (ProcessLookupError, PermissionError):
                         pass
             # the server replies a killed child's exit once it has reaped it
-            deadline = time.monotonic() + 10
+            deadline = time.monotonic() + REAP_TIMEOUT
             while exit_info is None and message != {} and time.monotonic() < deadline:
                 message = _reply(reply, deadline - time.monotonic())
                 if message and "pid" not in message:
@@ -381,18 +394,12 @@ def _run_child(
         if exit_info is None:
             # the server is gone or not answering: the evaluator replaces it, and
             # the supervisors of its other live jobs kill their groups
-            server.proc.kill()
+            server.kill()
         reader.join(timeout=5)
         stderr_text = _drain(err_r)[-8192:].decode("utf-8", "replace")
 
-    timing = {
-        "startup_s": None if reader.ready_at is None else reader.ready_at - submit_at,
-        "run_s": None if None in (reader.ready_at, reader.done_at) else reader.done_at - reader.ready_at,
-        # ru_maxrss is in KiB on Linux
-        "peak_rss_mb": None if exit_info is None else exit_info["maxrss_kb"] / 1024.0,
-    }
     if status != "ok":
-        return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail, timing
+        return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail
 
     result = None
     error_record = None
@@ -402,12 +409,18 @@ def _run_child(
         elif record.get("type") == "error":
             error_record = record
     if error_record is not None:
-        return "runtime_error", None, str(error_record.get("message", ""))[:2000], timing
+        return "runtime_error", None, str(error_record.get("message", ""))[:2000]
     if exit_info["returncode"] != 0:
-        return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}", timing
-    if result is None:
-        return "invalid_output", None, f"no result record; stderr: {stderr_text}", timing
-    return "ok", result, "", timing
+        return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}"
+    if result is None or reader.ready_at is None:
+        missing = "result" if result is None else "ready"
+        return "invalid_output", None, f"no {missing} record; stderr: {stderr_text}"
+    timing = {
+        "startup_s": reader.ready_at - submit_at,
+        "run_s": reader.done_at - reader.ready_at,
+        "peak_rss_mb": exit_info["maxrss_kb"] / 1024.0,  # ru_maxrss is in KiB on Linux
+    }
+    return "ok", dict(result, timing=timing), ""
 
 
 class Evaluator:
@@ -546,7 +559,7 @@ class Evaluator:
         return EvalReport(status="ok", per_instance=per_instance)
 
     def _run_entry(self, artifact, entry_id, path, seed, manifest, workdir):
-        status, record, detail, timing = _run_child(
+        status, record, detail = _run_child(
             self._child_server(), artifact, entry_id, path, seed, manifest, workdir
         )
         if status != "ok":
@@ -554,7 +567,7 @@ class Evaluator:
         status, result = self._revalidate(entry_id, record, path)
         if status != "ok":
             return status, None, "result failed supervisor re-validation"
-        return "ok", replace(result, **timing), ""
+        return "ok", replace(result, **record["timing"]), ""
 
     # -- public API ------------------------------------------------------
 

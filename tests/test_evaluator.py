@@ -2,11 +2,13 @@ import gc
 import json
 import math
 import os
+import signal
+import threading
 import time
 
 import pytest
 
-from routesmith import evalchild
+from routesmith import evalchild, evaluator
 from routesmith.candidates import SEED_SOURCE
 from routesmith.evaluator import (
     DISQUALIFIED,
@@ -450,6 +452,45 @@ class TestChildServer:
             assert report.status == "runtime_error"
             assert "server stopped" in report.build_log
             assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+
+    @pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
+    def test_lost_server_under_concurrent_jobs_fails_only_the_candidate(
+        self, tmp_path, train_files, monkeypatch, sig
+    ):
+        started = []
+
+        class RecordedServer(evaluator._ChildServer):
+            def __init__(self):
+                super().__init__()
+                started.append(self.proc.pid)
+
+        monkeypatch.setattr(evaluator, "_ChildServer", RecordedServer)
+        source = SERVER_KILLER.replace("SIGKILL", sig)
+        # two workers, three jobs: the third asks for a server while the first is lost
+        m = manifest_for(train_files + train_files[:1], per_instance_time=1.0)
+        with Evaluator(tmp_path, workers=2, smoke_test=False) as ev:
+            report = ev.evaluate_source(source, m)
+            assert report.status in ("runtime_error", "timeout"), report.build_log
+            assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+        assert len(started) >= 2
+        for pid in started:
+            assert not os.path.exists(f"/proc/{pid}")  # killed or closed, and reaped
+
+    def test_server_lost_before_its_jobs_start_fails_them(self, tmp_path, train_files):
+        with Evaluator(tmp_path, workers=2, smoke_test=False) as ev:
+            pid = ev._child_server().proc.pid
+            os.kill(pid, signal.SIGSTOP)
+            # the jobs queue on the stopped server, which dies before it forks any
+            killer = threading.Timer(1.0, os.kill, (pid, signal.SIGKILL))
+            killer.start()
+            try:
+                report = ev.evaluate_source(SEED_SOURCE, manifest_for(train_files + train_files[:1]))
+            finally:
+                killer.cancel()
+            assert report.status == "runtime_error"
+            assert "server stopped before the child started" in report.build_log
+            assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files)).ok
+        assert not os.path.exists(f"/proc/{pid}")
 
     def test_server_is_single_threaded_and_stops_on_close(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)
