@@ -292,7 +292,7 @@ def cmd_bench(args) -> int:
 
 _TRAIN_KEYS = {"manifest", "count", "n", "seed", "capacity", "demand_range", "resolved_paths"}
 _LLM_KEYS = {
-    "provider", "model", "endpoint", "seed", "max_concurrent", "min_interval",
+    "provider", "model", "endpoint", "seed", "min_interval",
     "input_cost_per_mtok", "output_cost_per_mtok",
 }
 _EVAL_KEYS = {"workers", "smoke_test"}
@@ -343,7 +343,6 @@ def _build_gateway(llm_cfg: dict, provider_override: str | None):
     return Gateway(
         provider,
         model=llm_cfg.get("model", "default"),
-        max_concurrent=int(llm_cfg.get("max_concurrent", 4)),
         min_interval=float(llm_cfg.get("min_interval", 0.0)),
         input_cost_per_mtok=float(llm_cfg.get("input_cost_per_mtok", 0.0)),
         output_cost_per_mtok=float(llm_cfg.get("output_cost_per_mtok", 0.0)),

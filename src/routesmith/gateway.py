@@ -345,13 +345,12 @@ class UsageLedger:
 
 
 class Gateway:
-    """Shareable front door: admission control plus the usage ledger."""
+    """Shareable front door: request pacing (``min_interval``) plus the usage ledger."""
 
     def __init__(
         self,
         provider,
         model: str = "default",
-        max_concurrent: int = 4,
         min_interval: float = 0.0,
         input_cost_per_mtok: float = 0.0,
         output_cost_per_mtok: float = 0.0,
@@ -362,7 +361,6 @@ class Gateway:
             input_cost_per_mtok=input_cost_per_mtok,
             output_cost_per_mtok=output_cost_per_mtok,
         )
-        self._gate = threading.Semaphore(max(1, max_concurrent))
         self._interval = min_interval
         self._last_issue = 0.0
         self._lock = threading.Lock()
@@ -391,9 +389,8 @@ class Gateway:
             max_tokens=max_tokens,
             nonce=nonce,
         )
-        with self._gate:
-            self._admit()
-            exchange = self.provider.complete(request)
+        self._admit()
+        exchange = self.provider.complete(request)
         with self._lock:
             self.ledger.add(exchange)
         return exchange

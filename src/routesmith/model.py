@@ -586,13 +586,13 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
 
     ``tour_index == solution.n_tours`` denotes opening a new tour (position
     must be 0). Returns ``INFEASIBLE`` (math.inf) when capacity or any
-    downstream time window would be violated. For PCVRP the customer's
-    prize is subtracted (serving recoups the forfeited prize).
+    downstream time window would be violated, when the tour is at the width
+    bound, or, for a new tour, when every tour row is in use. For PCVRP the
+    customer's prize is subtracted (serving recoups the forfeited prize).
 
-    The delta is read from the slot table and slot deltas that greedy
-    reinsertion scans (``_kernels._slot_table`` on the one tour,
-    ``_kernels._slot_deltas``, and ``_kernels._new_tour_costs`` for a new
-    tour), so it agrees with ``_kernels.greedy_insert`` bit for bit.
+    The delta is priced by ``_kernels.cheapest_slot``, the slot rule that
+    greedy reinsertion scans (a new tour as an empty one), so it agrees
+    with ``_kernels.greedy_insert`` bit for bit.
     """
     inst = solution.instance
     n = inst.num_customers
@@ -603,27 +603,23 @@ def insertion_delta(solution: Solution, customer: int, tour_index: int, position
     nt = solution.n_tours
     if tour_index < 0 or tour_index > nt:
         raise InputError(f"tour index out of range: {tour_index}")
-    has_tw = inst.problem is Problem.VRPTW
-    cs = np.array([customer])
-
     if tour_index == nt:
         if position != 0:
             raise InputError("new-tour insertion requires position 0")
         if nt >= solution._nodes.shape[0]:
             return INFEASIBLE
-        return float(_kernels._new_tour_costs(cs, inst.prize[cs], inst.tw_start[cs],
-                                              inst.tw_end[cs], inst.dist, has_tw)[0])
-
-    t = tour_index
-    if position < 0 or position > solution._lens[t]:
-        raise InputError(f"position out of range: {position}")
-    table = _kernels._slot_table(solution._nodes, solution._lens, solution._tdem,
-                                 solution._estart, solution._lstart, t, t + 1, 0, inst.dist,
-                                 inst.service, inst.capacity, has_tw)
-    deltas = _kernels._slot_deltas(inst.dist, customer, *table, inst.demand[customer],
-                                   inst.prize[customer], inst.tw_start[customer],
-                                   inst.tw_end[customer], inst.service[customer])
-    return float(deltas[position])
+        length = load = 0
+    else:
+        length = int(solution._lens[tour_index])
+        load = solution._tdem[tour_index]
+        if position < 0 or position > length:
+            raise InputError(f"position out of range: {position}")
+    delta, _ = _kernels.cheapest_slot(
+        solution._nodes, solution._estart, solution._lstart, tour_index, length, load,
+        position, position, customer, inst.demand[customer], inst.prize[customer], inst.dist,
+        inst.capacity, inst.service, inst.tw_start, inst.tw_end, inst.problem is Problem.VRPTW,
+    )
+    return float(delta)
 
 
 def insert_customer(solution: Solution, customer: int, tour_index: int, position: int) -> float:

@@ -193,9 +193,11 @@ class TestDiscover:
         assert timings and all(t["startup_s"] > 0 and t["peak_rss_mb"] > 0 for t in timings)
         assert not child_servers(), "discover left its evaluation server running"
 
-    def test_unknown_config_key_rejected(self, gen_dir, tmp_path):
+    @pytest.mark.parametrize("section, key", [("discovery", "mystery_knob"),
+                                              ("llm", "max_concurrent")])
+    def test_unknown_config_key_rejected(self, gen_dir, tmp_path, section, key):
         cfg = discover_config(gen_dir)
-        cfg["discovery"]["mystery_knob"] = 1
+        cfg[section][key] = 1
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = run_cli("discover", "--config", cfg_path, "--out", tmp_path / "bad-run")

@@ -1,12 +1,12 @@
-"""Parity of the greedy-reinsertion paths and the insertion primitives.
+"""Parity of the greedy-reinsertion backends and the insertion primitives.
 
-``_kernels.greedy_insert_numpy`` and the compiled kernels of
-``_kernels.c`` must make exactly the decisions of the scalar references
-``_kernels.greedy_insert_scalar`` and ``_kernels.remove_ids_scalar``: same
-mutated arrays, same commits, same returned counts and sums, bit for bit.
-The public primitives ``model.insertion_delta`` and
-``model.insert_customer`` must choose and commit a customer exactly as one
-step of the scalar kernel.
+The compiled kernels of ``_kernels.c``, and whichever kernel
+``_kernels.greedy_insert`` selects, must make exactly the decisions of the
+scalar references ``_kernels.greedy_insert_scalar`` and
+``_kernels.remove_ids_scalar``: same mutated arrays, same commits, same
+returned counts and sums, bit for bit. The public primitives
+``model.insertion_delta`` and ``model.insert_customer`` must choose and
+commit a customer exactly as one step of the scalar kernel.
 """
 
 import math
@@ -16,7 +16,6 @@ import subprocess
 import sys
 import weakref
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -139,16 +138,6 @@ case_args = st.tuples(
     st.sampled_from((1, 1, 3)),
     st.integers(0, 7),
 )
-
-
-@settings(max_examples=300, deadline=None)
-@given(case_args, st.integers(1, 64) | st.just(_kernels._BUILD_CHUNK))
-def test_numpy_path_matches_scalar_kernel(args, chunk):
-    """Small chunks split the PCVRP block scan into many blocks."""
-    sol, order = make_case(*args)
-    with mock.patch.object(_kernels, "_BUILD_CHUNK", chunk):
-        numpy_out = call(_kernels.greedy_insert_numpy, sol, order)
-    assert numpy_out == call(_kernels.greedy_insert_scalar, sol, order)
 
 
 @settings(max_examples=300, deadline=None)
@@ -307,11 +296,10 @@ def test_concurrent_builds_each_load_a_whole_library(tmp_path):
 
 
 @pytest.mark.parametrize("problem", VARIANTS)
-def test_table_grows_by_splices_and_new_tours(problem):
-    """Five customers next to tour 0 splice into it up to its capacity,
-    each splice moving tour 1's slots; five far-off ones, two to a tour,
-    fill tour 1, open two new tours and splice into them, so the table
-    grows from 4 slots to 16."""
+def test_splices_and_new_tours_follow_the_scalar_kernel(problem):
+    """Five customers next to tour 0 splice into it up to its capacity;
+    five far-off ones, two to a tour, fill tour 1, open two new tours and
+    splice into them. The selected kernel commits them as the scalar one."""
     angles = np.linspace(0.0, 2.0 * np.pi, 6, endpoint=False)
     near = np.c_[0.6 + 0.02 * np.cos(angles), 0.5 + 0.02 * np.sin(angles)]
     far = [(0.05, 0.05), (0.06, 0.05), (0.95, 0.95), (0.94, 0.95), (0.05, 0.95), (0.95, 0.05)]
@@ -322,7 +310,7 @@ def test_table_grows_by_splices_and_new_tours(problem):
                     tw_end=[100.0] * m, prize=[0.0] + [10.0] * (m - 1))
     sol = Solution.from_tours(inst, [[1], [7]])
     order = np.array([2, 3, 4, 5, 6, 8, 9, 10, 11, 12], dtype=np.int64)
-    out = call(_kernels.greedy_insert_numpy, sol, order)
+    out = call(_kernels.greedy_insert, sol, order)
     assert out == call(_kernels.greedy_insert_scalar, sol, order)
     tours = np.frombuffer(out[0][-1], dtype=np.int64).reshape(-1, 2)[:, 0]
     assert tours.tolist() == [0] * 5 + [1, 2, 2, 3, 3]
@@ -437,29 +425,27 @@ def _solve_signature(inst, pair, kernel, monkeypatch):
 def test_seeded_runs_agree_on_every_path(problem, pair, monkeypatch):
     inst = generate(GenParams(problem=problem, n=500))
     selected_path = _kernels.greedy_insert
-    numpy_calls = []
-    numpy_path = _kernels.greedy_insert_numpy
+    scalar_calls = []
+    scalar_path = _kernels.greedy_insert_scalar
 
     def counted(*args):
-        numpy_calls.append(1)
-        return numpy_path(*args)
+        scalar_calls.append(1)
+        return scalar_path(*args)
 
-    reference = _solve_signature(inst, pair, _kernels.greedy_insert_scalar, monkeypatch)
-    forced = _solve_signature(inst, pair, numpy_path, monkeypatch)
-    assert forced == reference
+    reference = _solve_signature(inst, pair, scalar_path, monkeypatch)
     if _kernels.BACKEND == "c":
         assert _solve_signature(inst, pair, selected_path, monkeypatch) == reference
     # the interpreted backend's selection, detach included
     monkeypatch.setattr(_kernels, "_compiled", None)
-    monkeypatch.setattr(_kernels, "greedy_insert_numpy", counted)
+    monkeypatch.setattr(_kernels, "greedy_insert_scalar", counted)
     assert _solve_signature(inst, pair, selected_path, monkeypatch) == reference
-    assert numpy_calls, "n=500 batches should take the numpy path"
+    assert scalar_calls, "the interpreted backend should run the scalar kernel"
 
 
 def test_cli_solve_output_is_identical_on_both_paths(tmp_path, monkeypatch):
     path = save(generate(GenParams(problem=Problem.VRPTW, n=200, seed=4)), tmp_path / "v.txt")
     outputs = []
-    kernels = [_kernels.greedy_insert_scalar, _kernels.greedy_insert_numpy]
+    kernels = [_kernels.greedy_insert_scalar]
     if _kernels.BACKEND == "c":
         kernels.append(_kernels.greedy_insert)
     for kernel in kernels:

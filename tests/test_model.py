@@ -205,7 +205,15 @@ class TestInsertionDelta:
     def test_capacity_overflow_infeasible(self):
         inst = line_instance(capacity=5)
         sol = Solution.from_tours(inst, [[1, 2]], unassigned=[3])  # demand 5 full
-        assert insertion_delta(sol, 3, 0, 1) == INFEASIBLE
+        assert sol._lens[0] == inst.tour_width  # and at the width bound
+        for p in range(3):
+            assert insertion_delta(sol, 3, 0, p) == INFEASIBLE
+        # every tour row in use leaves none for a new tour; no consistent
+        # state then has an unassigned customer, so the mask is set by hand
+        sol = Solution.from_tours(line_instance(), [[1], [2], [3]])
+        sol._unassigned[3] = True
+        assert sol.n_tours == sol._nodes.shape[0]
+        assert insertion_delta(sol, 3, sol.n_tours, 0) == INFEASIBLE
 
     def test_requires_unassigned_customer(self, gen):
         inst = gen(n=4, seed=9, capacity=20)
