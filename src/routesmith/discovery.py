@@ -9,9 +9,19 @@ offspring. Fitness is the mean training objective plus a code-length
 penalty; any build/run/feasibility failure disqualifies (infinite
 fitness), so failures can never become elite.
 
-All randomness is derived from (master_seed, iteration, role), which makes
-runs resumable: a checkpoint at any iteration boundary continues bit for
-bit like the uninterrupted run.
+The LLM calls of a phase (the seed calls, or one generation's crossover
+and mutation calls) are all issued before any reply is awaited. When the
+provider's replies do not depend on the order of its calls, up to
+``MAX_CONCURRENT_CALLS`` run at once; otherwise (a scripted mock, a provider
+that numbers its calls, any provider that does not say) they run one at a
+time in the serial order: crossover calls, then mutation calls. Each
+individual's evaluation is queued (``Evaluator.prefetch``) as soon as its
+source arrives, so the evaluator works while later calls are in flight; the
+generation that scores it collects the report.
+All randomness is derived from (master_seed, iteration, role) and drawn
+before the calls are made, and individuals get their ids and journal lines
+in the serial order, which makes runs resumable: a checkpoint at any
+iteration boundary continues bit for bit like the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ from .util import count_lines, derive_seed, make_rng
 log = logging.getLogger(__name__)
 
 UNEVALUATED = None
+# LLM calls in flight at once for a provider whose replies do not depend on
+# call order; a phase with more calls queues the rest
+MAX_CONCURRENT_CALLS = 8
 
 
 @dataclass
@@ -46,9 +59,13 @@ class Individual:
     eval_iterations: list[int] = field(default_factory=list)
     eval_status: str = "unevaluated"
     validation_mean: float | None = None
-    # supervisor timings per training instance (startup_s, run_s, peak_rss_mb);
-    # journal lines carry them, checkpoints do not, as they differ run to run
+    # supervisor timings per training instance (startup_s, run_s, peak_rss_mb),
+    # also for the instances a failed evaluation finished before its failure,
+    # and the LLM exchange that wrote the source (latency_s, input_tokens,
+    # output_tokens, retry_count): journal lines carry them, checkpoints do
+    # not, as they differ run to run
     eval_timing: list[dict] = field(default_factory=list)
+    llm: dict = field(default_factory=dict)
 
     @property
     def evaluated(self) -> bool:
@@ -59,9 +76,9 @@ class Individual:
         return self.fitness is not UNEVALUATED and math.isinf(self.fitness)
 
     def to_record(self) -> dict:
-        """The checkpoint record: everything but ``eval_timing``."""
+        """The checkpoint record: everything but ``eval_timing`` and ``llm``."""
         rec = asdict(self)
-        del rec["eval_timing"]
+        del rec["eval_timing"], rec["llm"]
         rec["parents"] = list(self.parents)
         if self.fitness is not None and math.isinf(self.fitness):
             rec["fitness"] = "disqualified"
@@ -84,6 +101,7 @@ class Individual:
             eval_status=rec.get("eval_status", "unevaluated"),
             validation_mean=rec.get("validation_mean"),
             eval_timing=list(rec.get("eval_timing", [])),
+            llm=dict(rec.get("llm", {})),
         )
 
 
@@ -176,16 +194,24 @@ class DiscoveryRun:
         self.next_id = 0
         self.completed_iterations = 0
         self.history: list[dict] = []
+        # made by the first LLM call; its idle threads end with the run object
+        self._llm_pool = None
 
     # -- bookkeeping -----------------------------------------------------
 
-    def _new_individual(self, source: str, parents: tuple[int, ...], kind: str) -> Individual:
+    def _new_individual(self, source: str, exchange, parents: tuple[int, ...], kind: str) -> Individual:
         ind = Individual(
             id=self.next_id,
             source=source,
             line_count=count_lines(source),
             parents=parents,
             kind=kind,
+            llm={
+                "latency_s": exchange.latency,
+                "input_tokens": exchange.input_tokens,
+                "output_tokens": exchange.output_tokens,
+                "retry_count": exchange.retry_count,
+            },
         )
         self.next_id += 1
         self.individuals[ind.id] = ind
@@ -193,7 +219,7 @@ class DiscoveryRun:
 
     def _journal(self, ind: Individual) -> None:
         with open(self.run_dir / "individuals.jsonl", "a") as fh:
-            fh.write(json.dumps(dict(ind.to_record(), eval_timing=ind.eval_timing)) + "\n")
+            fh.write(json.dumps(dict(ind.to_record(), eval_timing=ind.eval_timing, llm=ind.llm)) + "\n")
 
     def _manifest(self, iteration: int) -> EvalManifest:
         cfg = self.config
@@ -211,20 +237,26 @@ class DiscoveryRun:
         )
 
     def _evaluate(self, ind: Individual, iteration: int) -> None:
-        report = self.evaluator.evaluate_source(ind.source, self._manifest(iteration))
-        ind.eval_status = report.status
-        ind.eval_detail = report.objectives() if report.ok else []
-        ind.eval_iterations = [r.iterations for r in report.per_instance] if report.ok else []
-        ind.eval_timing = [r.timing() for r in report.per_instance] if report.ok else []
-        ind.fitness = fitness(ind, report, self.config.lam)
-        self._journal(ind)
+        self._evaluate_all([ind], iteration)
+
+    def _evaluate_all(self, individuals: list[Individual], iteration: int) -> None:
+        """Evaluate individuals as one batch, then journal them in order."""
+        manifest = self._manifest(iteration)
+        reports = self.evaluator.evaluate_sources([(ind.source, manifest) for ind in individuals])
+        for ind, report in zip(individuals, reports):
+            ind.eval_status = report.status
+            ind.eval_detail = report.objectives() if report.ok else []
+            ind.eval_iterations = [r.iterations for r in report.per_instance] if report.ok else []
+            ind.eval_timing = [r.timing() for r in report.per_instance]
+            ind.fitness = fitness(ind, report, self.config.lam)
+            self._journal(ind)
 
     # -- LLM-facing steps --------------------------------------------------
 
     def _bindings(self) -> dict:
         return runtime_bindings(self.config.problem, self.config.crossover_bias)
 
-    def _generate(self, template_id: str, extra: dict, temperature: float, nonce: int) -> str:
+    def _generate(self, template_id: str, extra: dict, temperature: float, nonce: int):
         bindings = dict(self._bindings())
         bindings.update(extra)
         messages = render(template_id, bindings)
@@ -234,9 +266,10 @@ class DiscoveryRun:
             max_tokens=self.config.max_tokens,
             nonce=nonce,
         )
-        return extract_code(exchange.response)
+        return extract_code(exchange.response), exchange
 
     def _generate_with_retry(self, template_id: str, extra: dict, temperature: float, seed_path: tuple):
+        """(source, exchange) of the first attempt that yields code, else None."""
         cfg = self.config
         for attempt in range(cfg.retry_limit + 1):
             nonce = derive_seed(cfg.master_seed, *seed_path, attempt)
@@ -246,55 +279,107 @@ class DiscoveryRun:
                 log.warning("generation failed (%s, attempt %d): %s", template_id, attempt, exc)
         return None
 
+    def _start_calls(self, calls: list[tuple]) -> list:
+        """Issue ``_generate_with_retry`` calls in order; one future each.
+
+        Every call's nonce comes from its own seed path. A provider that
+        sets ``call_order_matters = False`` answers each call from its
+        request alone, so its calls run concurrently; any other provider gets
+        them one at a time, in the order issued, and so sees the calls of the
+        serial loop in the same order. The gateway, the ledger, ``render``
+        and both built-in providers are safe to call from several threads.
+        """
+        if self._llm_pool is None:
+            # a lazy import keeps concurrent.futures out of processes that never discover
+            from concurrent.futures import ThreadPoolExecutor
+
+            ordered = getattr(self.gateway.provider, "call_order_matters", True)
+            width = 1 if ordered else MAX_CONCURRENT_CALLS
+            self._llm_pool = ThreadPoolExecutor(width, thread_name_prefix="routesmith-llm")
+        return [self._llm_pool.submit(self._generate_with_retry, *call) for call in calls]
+
     def init_population(self) -> None:
         cfg = self.config
-        for i in range(cfg.n_init):
-            source = self._generate_with_retry("seed", {}, cfg.temperature_init, ("init", i))
-            if source is None:
+        calls = self._start_calls(
+            [("seed", {}, cfg.temperature_init, ("init", i)) for i in range(cfg.n_init)]
+        )
+        for i, call in enumerate(calls):
+            generated = call.result()
+            if generated is None:
                 raise DiscoveryError(f"could not generate initial individual {i}")
-            self.population.append(self._new_individual(source, (), "init"))
+            self.population.append(self._new_individual(*generated, (), "init"))
+            # the first generation evaluates it; its jobs start now
+            self.evaluator.prefetch([(generated[0], self._manifest(1))])
 
-    def make_offspring(self, elites: list[Individual], non_elites: list[Individual], iteration: int) -> list[Individual]:
+    def _request_offspring(self, elites: list[Individual], non_elites: list[Individual], iteration: int) -> list[tuple]:
+        """Draw each child's parents and issue its call: ((elite, non_elite), future) pairs."""
         cfg = self.config
         if not elites or not non_elites:
             raise DiscoveryError("both parent pools must be non-empty")
         rng = make_rng(derive_seed(cfg.master_seed, "breed", iteration))
         template = "crossover" if cfg.crossover_mode == "biased" else "crossover-standard"
+        parents = [
+            (elites[int(rng.integers(len(elites)))], non_elites[int(rng.integers(len(non_elites)))])
+            for _ in range(cfg.n_offspring)
+        ]
+        calls = self._start_calls([
+            (template, {"code_parent_1": elite.source, "code_parent_2": non_elite.source},
+             cfg.temperature_evolve, ("cross", iteration, i))
+            for i, (elite, non_elite) in enumerate(parents)
+        ])
+        return list(zip(parents, calls))
+
+    def make_offspring(
+        self, elites: list[Individual], non_elites: list[Individual], iteration: int, crossovers=None
+    ) -> list[Individual]:
+        """The crossover children; ``crossovers`` are the calls
+        ``_request_offspring`` already issued, else they are issued here."""
+        if crossovers is None:
+            crossovers = self._request_offspring(elites, non_elites, iteration)
         brood: list[Individual] = []
-        for i in range(cfg.n_offspring):
-            elite = elites[int(rng.integers(len(elites)))]
-            non_elite = non_elites[int(rng.integers(len(non_elites)))]
-            extra = {"code_parent_1": elite.source, "code_parent_2": non_elite.source}
-            source = self._generate_with_retry(
-                template, extra, cfg.temperature_evolve, ("cross", iteration, i)
-            )
-            if source is None:
+        for i, ((elite, non_elite), call) in enumerate(crossovers):
+            generated = call.result()
+            if generated is None:
                 log.warning("skipping offspring %d of iteration %d after retries", i, iteration)
                 continue
-            brood.append(self._new_individual(source, (elite.id, non_elite.id), "crossover"))
+            brood.append(self._new_individual(*generated, (elite.id, non_elite.id), "crossover"))
+            if iteration < self.config.iterations:
+                # the next generation evaluates it; its jobs start now
+                self.evaluator.prefetch([(generated[0], self._manifest(iteration + 1))])
         return brood
 
-    def mutate_elites(self, elites: list[Individual], iteration: int) -> list[Individual]:
+    def _request_mutations(self, elites: list[Individual], iteration: int) -> list[tuple]:
+        """Draw each elite's mutation kind and issue its call: (kind, future) pairs."""
         cfg = self.config
-        if not cfg.mutation_enabled:
-            return elites
         rng = make_rng(derive_seed(cfg.master_seed, "mutate", iteration))
-        out: list[Individual] = []
-        for idx, elite in enumerate(elites):
-            kind = MUTATION_KINDS[int(rng.integers(len(MUTATION_KINDS)))]
-            source = self._generate_with_retry(
-                kind, {"code": elite.source}, cfg.temperature_evolve, ("mut", iteration, idx)
-            )
-            if source is None:
-                out.append(elite)
+        kinds = [MUTATION_KINDS[int(rng.integers(len(MUTATION_KINDS)))] for _ in elites]
+        calls = self._start_calls([
+            (kind, {"code": elite.source}, cfg.temperature_evolve, ("mut", iteration, idx))
+            for idx, (kind, elite) in enumerate(zip(kinds, elites))
+        ])
+        return list(zip(kinds, calls))
+
+    def mutate_elites(self, elites: list[Individual], iteration: int, mutations=None) -> list[Individual]:
+        """Replace each elite by its mutant where the mutant is strictly better.
+
+        ``mutations`` are the calls ``_request_mutations`` already issued for
+        these elites; without them the calls are issued here.
+        """
+        if not self.config.mutation_enabled:
+            return elites
+        if mutations is None:
+            mutations = self._request_mutations(elites, iteration)
+        mutants = []
+        for elite, (kind, call) in zip(elites, mutations):
+            generated = call.result()
+            if generated is None:
+                mutants.append(None)
                 continue
-            mutant = self._new_individual(source, (elite.id,), kind)
-            self._evaluate(mutant, iteration)
-            if mutant.fitness < elite.fitness:  # strict: ties keep the original
-                out.append(mutant)
-            else:
-                out.append(elite)
-        return out
+            mutants.append(self._new_individual(*generated, (elite.id,), kind))
+            self.evaluator.prefetch([(generated[0], self._manifest(iteration))])
+        self._evaluate_all([m for m in mutants if m is not None], iteration)
+        # strict: ties keep the original
+        return [m if m is not None and m.fitness < e.fitness else e for e, m in zip(elites, mutants)]
 
     # -- checkpointing -----------------------------------------------------
 
@@ -333,6 +418,8 @@ class DiscoveryRun:
 
     def run(self, resume: bool = False) -> Individual:
         cfg = self.config
+        # the child server's start-up overlaps the first LLM calls
+        self.evaluator.start()
         if resume:
             self.resume()
         else:
@@ -340,12 +427,14 @@ class DiscoveryRun:
             self._checkpoint()
 
         for iteration in range(self.completed_iterations + 1, cfg.iterations + 1):
-            for ind in self.population:
-                if not ind.evaluated:
-                    self._evaluate(ind, iteration)
+            self._evaluate_all([ind for ind in self.population if not ind.evaluated], iteration)
             elites, non_elites = top_k_elite(self.population, cfg.n_elite)
-            offspring = self.make_offspring(elites, non_elites, iteration)
-            elites = self.mutate_elites(elites, iteration)
+            # one phase: every crossover and mutation call is issued, in the
+            # serial order, before any reply is awaited
+            crossovers = self._request_offspring(elites, non_elites, iteration)
+            mutations = self._request_mutations(elites, iteration) if cfg.mutation_enabled else None
+            offspring = self.make_offspring(elites, non_elites, iteration, crossovers)
+            elites = self.mutate_elites(elites, iteration, mutations)
             self.population = list(elites) + offspring
             self.completed_iterations = iteration
             elite_min = min(e.fitness for e in elites)
@@ -401,8 +490,8 @@ def select_best_by_validation(
         per_instance_iterations=per_instance_iterations,
     )
     scored: list[Individual] = []
-    for ind in candidates:
-        report = evaluator.evaluate_source(ind.source, manifest)
+    reports = evaluator.evaluate_sources([(ind.source, manifest) for ind in candidates])
+    for ind, report in zip(candidates, reports):
         if not report.ok:
             log.warning("finalist %d disqualified on validation (%s)", ind.id, report.status)
             continue

@@ -1,20 +1,24 @@
 """Build and score candidate operator source under process isolation.
 
 ``build`` syntax-checks candidate source against the pinned operator
-interface and stores it as a content-addressed artifact. ``evaluate`` runs
-one supervised child process per training instance: the child executes the
-full LNS loop with the candidate operators and emits line-delimited JSON
+interface and stores it as a content-addressed artifact. ``evaluate_sources``
+scores a batch of candidates (``prefetch`` queues one without waiting):
+every job of every candidate (a preflight smoke run on one tiny instance,
+and one run per training instance) goes to the evaluator's one pool of
+``workers`` supervised child processes, smoke runs first, so the smoke run
+runs beside the training runs instead of ahead of them. Each child executes
+the full LNS loop with the candidate operators and emits line-delimited JSON
 records on stdout. Children fork from a warm server that the ``Evaluator``
-starts on its first evaluation (``python -m routesmith.evalchild --serve``):
-it has numpy, the package and the compiled kernels loaded and never runs
-candidate code itself, and each child starts a new session and closes every
-descriptor other than 0-2 before it loads the candidate. The child caps its
-own address space at the manifest's memory limit before it loads candidate
-code; the supervisor enforces the wall-clock limits, rebuilds and
-re-validates the returned tours with the core validator (a result without
-tours is invalid), and maps every failure mode to a report status. A
-crashing or resource-hogging candidate can only ever take down its own
-child process. ``Evaluator.close`` (or leaving its ``with`` block) stops
+starts on its first evaluation, or at ``start`` (``python -m
+routesmith.evalchild --serve``): it has numpy, the package and the compiled
+kernels loaded and never runs candidate code itself, and each child starts a
+new session and closes every descriptor other than 0-2 before it loads the
+candidate. The child caps its own address space at the manifest's memory
+limit before it loads candidate code; the supervisor enforces the wall-clock
+limits, rebuilds and re-validates the returned tours with the core validator
+(a result without tours is invalid), and maps every failure mode to a report
+status. A crashing or resource-hogging candidate can only ever take down its
+own child process. ``Evaluator.close`` (or leaving its ``with`` block) stops
 the server; so does collecting the evaluator or the end of the process.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -55,6 +60,9 @@ SUPERVISE_TICK = 0.05
 # how long the supervisor waits for the server to reap a child it killed
 # before it takes the server for stopped and replaces it
 REAP_TIMEOUT = 2.0
+# the status of a job killed because a lower-index job of its candidate
+# failed; the lower failure decides the report, so it never reaches one
+CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True)
@@ -308,12 +316,15 @@ def _run_child(
     seed: int,
     manifest: EvalManifest,
     workdir: Path,
+    stop=None,
 ) -> tuple[str, dict | None, str]:
     """Run one instance in a supervised child forked by ``server``.
 
     Returns (status, result record or None, detail). An ok record carries
     the supervisor's ``timing`` of the child: ``startup_s``, ``run_s`` and
     ``peak_rss_mb``. A server that is gone fails the job; it never raises.
+    Once ``stop()`` is true the child is killed at the next tick, as on a
+    timeout, and the job ends ``CANCELLED``.
     """
     child_manifest = {
         "id": entry_id,
@@ -378,6 +389,10 @@ def _run_child(
                     if reader.flooded:
                         status, detail = "invalid_output", "child flooded stdout"
                         break
+                    # only a forked child can be killed and reaped
+                    if pid is not None and stop is not None and stop():
+                        status, detail = CANCELLED, "a lower-index job failed"
+                        break
             finally:
                 if exit_info is None and pid is not None:
                     try:
@@ -423,15 +438,81 @@ def _run_child(
     return "ok", dict(result, timing=timing), ""
 
 
+class _Candidate:
+    """One artifact's jobs: the smoke run is job -1, instance i is job i.
+
+    ``first_failure`` is the lowest index of a job that failed so far. A job
+    above it is dropped before it starts, or killed at its supervisor's next
+    tick; lower jobs run on, as one of them may still fail and decide the
+    report. The job manifests live in ``workdir``, removed with the last job.
+    """
+
+    def __init__(self, artifact: BuildArtifact, manifest: EvalManifest, smoke: bool):
+        self.artifact = artifact
+        self.manifest = manifest
+        self.smoke = smoke
+        self.outcomes: dict[int, tuple[str, InstanceResult | None, str]] = {}
+        self.first_failure = math.inf
+        self.error: BaseException | None = None
+        self._left = len(manifest.instance_paths) + smoke
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        self.workdir = Path(tempfile.mkdtemp(prefix="routesmith-eval-")) if self._left else None
+        if not self._left:
+            self._done.set()
+
+    def record(self, index: int, outcome=None, error: BaseException | None = None) -> None:
+        """A job ended: with an outcome, dropped (neither), or raising."""
+        with self._lock:
+            if error is not None:
+                self.error = self.error or error
+                self.first_failure = -math.inf
+            elif outcome is not None:
+                self.outcomes[index] = outcome
+                if outcome[0] != "ok":
+                    self.first_failure = min(self.first_failure, index)
+            self._left -= 1
+            if not self._left:
+                shutil.rmtree(self.workdir, ignore_errors=True)
+                self._done.set()
+
+    def stop(self) -> None:
+        """Drop the jobs that have not started and kill the running ones."""
+        with self._lock:
+            self.first_failure = -math.inf
+
+    def report(self) -> EvalReport:
+        """Wait for every job; the lowest-index failure decides, as in a serial run."""
+        self._done.wait()
+        if self.error is not None:
+            raise self.error
+        if self.smoke:
+            status, _, detail = self.outcomes[-1]
+            if status != "ok":
+                return EvalReport(status=status, build_log=f"preflight smoke failed: {detail}")
+        per_instance: list[InstanceResult] = []
+        for index in range(len(self.manifest.instance_paths)):
+            status, result, detail = self.outcomes[index]
+            if status != "ok":
+                return EvalReport(status=status, per_instance=per_instance, build_log=detail)
+            per_instance.append(result)
+        return EvalReport(status="ok", per_instance=per_instance)
+
+
 class Evaluator:
     """Scores candidate sources by supervised execution over instances.
 
-    ``workers`` child processes run concurrently, each forked from the
-    evaluator's warm child server; a preflight smoke run on one tiny
-    instance gates the full manifest so broken candidates fail fast.
-    Reports are cached by (source digest, manifest digest): with fixed
-    per-instance seeds and an iteration budget they are deterministic.
-    Use it as a context manager, or call ``close``, to stop the server.
+    Every job runs on the evaluator's one pool of ``workers`` child
+    processes, each forked from its warm child server: ``prefetch`` queues a
+    batch's jobs, and ``evaluate_sources`` queues what is not queued yet and
+    waits for the reports. With ``smoke_test`` on, a smoke run on one tiny
+    instance runs beside each candidate's training runs; its verdict is kept
+    per artifact, so a source is smoke-run once per evaluator. A candidate's
+    first failure stops its later jobs. Reports are cached by (source
+    digest, manifest digest): with fixed per-instance seeds and an iteration
+    budget they are deterministic, and each equals the report of a serial
+    run. The evaluator is driven from one thread at a time. Use it as a
+    context manager, or call ``close``, to stop the pool and the server.
     """
 
     def __init__(self, cache_dir, workers: int = 2, smoke_test: bool = True):
@@ -440,9 +521,17 @@ class Evaluator:
         self.workers = max(1, workers)
         self.smoke_test = smoke_test
         self._report_cache: dict[tuple[str, str], EvalReport] = {}
+        # artifact digest -> (status, detail) of its smoke run
+        self._smoke_verdicts: dict[str, tuple[str, str]] = {}
         self._instance_cache: dict[str, object] = {}
         self._smoke_manifest: EvalManifest | None = None
-        # started by the first child, so an evaluator that never evaluates costs nothing
+        # candidates whose jobs are queued or running, by report-cache key
+        self._in_flight: dict[tuple[str, str], _Candidate] = {}
+        self._pool = None  # the job pool, made by the first job
+        # the slots of the batch whose reports evaluate_source hands out
+        self._collecting: dict | None = None
+        # started by the first child or by start(), so an evaluator that never
+        # evaluates costs nothing
         self._server: _ChildServer | None = None
         self._server_lock = threading.Lock()
         self._close_server: weakref.finalize | None = None
@@ -461,8 +550,20 @@ class Evaluator:
                 self._close_server = weakref.finalize(self, self._server.close)
             return self._server
 
+    def start(self) -> None:
+        """Start the child server unless it is running, without waiting for
+        its imports, so that its start-up overlaps the caller's own work."""
+        self._child_server()
+
     def close(self) -> None:
-        """Stop the child server; a later evaluation starts a new one."""
+        """Stop the jobs, the pool and the child server; a later evaluation
+        starts new ones."""
+        for cand in self._in_flight.values():
+            cand.stop()
+        self._in_flight.clear()
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
         with self._server_lock:
             if self._close_server is not None:
                 self._close_server()
@@ -527,71 +628,126 @@ class Evaluator:
             iterations=iterations,
         )
 
-    def _run_manifest(self, artifact: BuildArtifact, manifest: EvalManifest) -> EvalReport:
-        entries = [
-            (f"inst-{i:03d}", path, seed)
-            for i, (path, seed) in enumerate(zip(manifest.instance_paths, manifest.seeds))
-        ]
-        # a lazy import keeps concurrent.futures (and the logging it loads)
-        # out of processes that import this module but never evaluate
-        from concurrent.futures import ThreadPoolExecutor
-
-        results: dict[str, tuple[str, InstanceResult | None, str]] = {}
-        with tempfile.TemporaryDirectory(prefix="routesmith-eval-") as tmp:
-            workdir = Path(tmp)
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = {
-                    entry_id: pool.submit(
-                        self._run_entry, artifact, entry_id, path, seed, manifest, workdir
-                    )
-                    for entry_id, path, seed in entries
-                }
-                for entry_id, fut in futures.items():
-                    results[entry_id] = fut.result()
-
-        per_instance: list[InstanceResult] = []
-        for entry_id, _, _ in entries:
-            status, result, detail = results[entry_id]
-            if status != "ok" or result is None:
-                return EvalReport(status=status if status != "ok" else "invalid_output",
-                                  per_instance=per_instance, build_log=detail)
-            per_instance.append(result)
-        return EvalReport(status="ok", per_instance=per_instance)
-
-    def _run_entry(self, artifact, entry_id, path, seed, manifest, workdir):
-        status, record, detail = _run_child(
-            self._child_server(), artifact, entry_id, path, seed, manifest, workdir
-        )
-        if status != "ok":
-            return status, None, detail
-        status, result = self._revalidate(entry_id, record, path)
-        if status != "ok":
-            return status, None, "result failed supervisor re-validation"
-        return "ok", replace(result, **record["timing"]), ""
-
-    # -- public API ------------------------------------------------------
-
-    def evaluate(self, artifact: BuildArtifact, manifest: EvalManifest) -> EvalReport:
-        key = (artifact.digest, manifest.digest())
-        if key in self._report_cache:
-            return self._report_cache[key]
-        if self.smoke_test:
-            smoke_report = self._run_manifest(artifact, self._smoke())
-            if not smoke_report.ok:
-                report = EvalReport(
-                    status=smoke_report.status,
-                    build_log=f"preflight smoke failed: {smoke_report.build_log}",
-                )
-                self._report_cache[key] = report
-                return report
-        report = self._run_manifest(artifact, manifest)
-        self._report_cache[key] = report
-        return report
-
-    def evaluate_source(self, source: str, manifest: EvalManifest) -> EvalReport:
-        """Build + evaluate, mapping compile failures into the report."""
+    def _prepare(self, source: str, manifest: EvalManifest, key: tuple[str, str]):
+        """A batch slot: the report, when no job has to run, or the candidate."""
         try:
             artifact = build(source, self.cache_dir / "artifacts")
         except CandidateBuildError as exc:
             return EvalReport(status="compile_error", build_log=str(exc))
-        return self.evaluate(artifact, manifest)
+        if key in self._report_cache:
+            return self._report_cache[key]
+        verdict = self._smoke_verdicts.get(artifact.digest) if self.smoke_test else ("ok", "")
+        if verdict is None:
+            self._smoke()  # its instance file is written before any job starts
+        elif verdict[0] != "ok":
+            report = EvalReport(status=verdict[0], build_log=f"preflight smoke failed: {verdict[1]}")
+            self._report_cache[key] = report
+            return report
+        return _Candidate(artifact, manifest, smoke=verdict is None)
+
+    def _run_job(self, cand: _Candidate, index: int) -> None:
+        try:
+            if cand.first_failure < index:
+                cand.record(index)  # dropped: a lower-index job failed
+                return
+            if index < 0:
+                manifest, entry_id = self._smoke(), "smoke"
+                path, seed = manifest.instance_paths[0], manifest.seeds[0]
+            else:
+                manifest, entry_id = cand.manifest, f"inst-{index:03d}"
+                path, seed = manifest.instance_paths[index], manifest.seeds[index]
+            status, record, detail = _run_child(
+                self._child_server(), cand.artifact, entry_id, path, seed, manifest,
+                cand.workdir, stop=lambda: cand.first_failure < index,
+            )
+            if status == "ok":
+                status, result = self._revalidate(entry_id, record, path)
+                if status == "ok":
+                    outcome = ("ok", replace(result, **record["timing"]), "")
+                else:
+                    outcome = (status, None, "result failed supervisor re-validation")
+            else:
+                outcome = (status, None, detail)
+            if index < 0 and status != CANCELLED:
+                self._smoke_verdicts[cand.artifact.digest] = (outcome[0], outcome[2])
+        except BaseException as exc:  # re-raised by the candidate's report()
+            cand.record(index, error=exc)
+        else:
+            cand.record(index, outcome)
+
+    def _queue(self, items) -> dict:
+        """Queue the jobs of (source, manifest) pairs not yet queued.
+
+        Returns a slot per pair: its report when no job has to run (a compile
+        error, a cached report, a failed smoke verdict), else its candidate.
+        The smoke runs of the batch are queued first.
+        """
+        slots: dict[tuple[str, str], object] = {}
+        fresh: list[_Candidate] = []
+        for source, manifest in items:
+            key = (source_digest(source), manifest.digest())
+            if key in slots:
+                continue
+            slot = self._in_flight.get(key)
+            if slot is None:
+                slot = self._prepare(source, manifest, key)
+                if isinstance(slot, _Candidate):
+                    self._in_flight[key] = slot
+                    fresh.append(slot)
+            slots[key] = slot
+        if fresh and self._pool is None:
+            # a lazy import keeps concurrent.futures (and the logging it loads)
+            # out of processes that import this module but never evaluate
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="routesmith-eval")
+        jobs = [(c, -1) for c in fresh if c.smoke]
+        jobs += [(c, i) for c in fresh for i in range(len(c.manifest.instance_paths))]
+        for cand, index in jobs:
+            self._pool.submit(self._run_job, cand, index)
+        return slots
+
+    # -- public API ------------------------------------------------------
+
+    def prefetch(self, items: list[tuple[str, EvalManifest]]) -> None:
+        """Queue the jobs of (source, manifest) pairs and return at once.
+
+        A later ``evaluate_sources`` of the same pairs waits for these jobs
+        instead of running them again, so a caller can start evaluating a
+        candidate as soon as it exists.
+        """
+        self._queue(items)
+
+    def evaluate_sources(self, items: list[tuple[str, EvalManifest]]) -> list[EvalReport]:
+        """Build and evaluate (source, manifest) pairs; one report per pair.
+
+        The jobs go to the evaluator's pool of ``workers``: the smoke runs
+        first, then each candidate's instances in order. Compile failures map
+        to a ``compile_error`` report; a pair met before (in this batch, in
+        the report cache or among the prefetched ones) runs once.
+        """
+        slots = self._queue(items)
+        # each report is handed out by evaluate_source, the one-candidate
+        # entry point, so whatever wraps it sees every evaluation
+        self._collecting = slots
+        try:
+            return [self.evaluate_source(source, manifest) for source, manifest in items]
+        finally:
+            self._collecting = None
+            for key, slot in slots.items():
+                if isinstance(slot, _Candidate):  # not collected: the batch raised
+                    slot.stop()
+                    self._in_flight.pop(key, None)
+
+    def evaluate_source(self, source: str, manifest: EvalManifest) -> EvalReport:
+        """Build + evaluate one source: the one-item case of ``evaluate_sources``."""
+        slots = self._collecting
+        if slots is None:
+            return self.evaluate_sources([(source, manifest)])[0]
+        key = (source_digest(source), manifest.digest())
+        slot = slots[key]
+        if isinstance(slot, _Candidate):
+            report = slot.report()
+            del self._in_flight[key]
+            slot = slots[key] = self._report_cache[key] = report
+        return slot

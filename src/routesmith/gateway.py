@@ -203,7 +203,9 @@ MOCK_CORPUS = (
 class MockProvider:
     """Deterministic offline provider.
 
-    With ``script`` set, replays the given responses in order (verbatim).
+    With ``script`` set, replays the given responses in order (verbatim):
+    in the order the calls arrive, so concurrent callers get them in an
+    order that depends on timing, and ``call_order_matters`` is true.
     Otherwise the reply is a corpus source picked by hashing the rendered
     prompt digest, the request nonce, and the provider seed; fenced like a
     real model reply. Usage is always reported as (0, 0).
@@ -214,13 +216,20 @@ class MockProvider:
         self.corpus = list(corpus)
         self.script = list(script) if script is not None else None
         self._cursor = 0
+        self._cursor_lock = threading.Lock()
+
+    @property
+    def call_order_matters(self) -> bool:
+        """Whether a reply depends on the calls made before it."""
+        return self.script is not None
 
     def complete(self, request: ChatRequest) -> ChatExchange:
         if self.script is not None:
-            if self._cursor >= len(self.script):
-                raise MalformedResponseError("scripted mock exhausted")
-            response = self.script[self._cursor]
-            self._cursor += 1
+            with self._cursor_lock:
+                if self._cursor >= len(self.script):
+                    raise MalformedResponseError("scripted mock exhausted")
+                response = self.script[self._cursor]
+                self._cursor += 1
         else:
             digest = prompt_digest(request.messages)
             pick = int(sha256_hex(f"{digest}|{request.nonce}|{self.seed}"), 16) % len(self.corpus)
@@ -237,6 +246,9 @@ class HttpProvider:
     immediately; anything not shaped like a chat completion raises
     MalformedResponseError.
     """
+
+    # a reply depends on its request only, not on the calls made before it
+    call_order_matters = False
 
     def __init__(
         self,
@@ -345,7 +357,17 @@ class UsageLedger:
 
 
 class Gateway:
-    """Shareable front door: request pacing (``min_interval``) plus the usage ledger."""
+    """Shareable front door: request pacing (``min_interval``) plus the usage ledger.
+
+    ``complete`` is safe to call from several threads at once: pacing and the
+    ledger are updated under one lock, ``render`` and the request are pure,
+    ``MockProvider`` replies are a pure function of the request (a script's
+    cursor is locked), and ``HttpProvider`` keeps no state between calls (one
+    ``requests.post`` each, no shared session). The gateway itself sets no
+    bound on concurrent calls; callers do (see ``discovery``, which runs
+    calls concurrently only for a provider with ``call_order_matters``
+    false).
+    """
 
     def __init__(
         self,
@@ -390,7 +412,10 @@ class Gateway:
             nonce=nonce,
         )
         self._admit()
+        started = time.perf_counter()
         exchange = self.provider.complete(request)
+        if not exchange.latency:  # providers that do not time themselves
+            exchange.latency = time.perf_counter() - started
         with self._lock:
             self.ledger.add(exchange)
         return exchange

@@ -1,9 +1,12 @@
 import json
 import math
+import threading
+import time
 
 import pytest
 
 from routesmith.discovery import (
+    MAX_CONCURRENT_CALLS,
     DiscoveryConfig,
     DiscoveryRun,
     Individual,
@@ -45,6 +48,15 @@ class FakeEvaluator:
         ]
         return EvalReport(status="ok", per_instance=per)
 
+    def evaluate_sources(self, items):
+        return [self.evaluate_source(source, manifest) for source, manifest in items]
+
+    def prefetch(self, items):
+        pass
+
+    def start(self):
+        pass
+
 
 class EchoParentProvider:
     """Replies with the code block already present in the prompt: parent 1
@@ -61,6 +73,60 @@ class EchoParentProvider:
         else:
             code = "def select_by_llm_1(sol):\n    return [1]\ndef sort_by_llm_1(c, i):\n    pass\n"
         return ChatExchange(request=request, response=f"```python\n{code}\n```")
+
+
+class InFlightProvider:
+    """MockProvider replies after a delay; records the peak of calls in flight.
+
+    With ``numbered`` each reply carries the number of calls made before it
+    (as a comment, like a provider that tags its replies), so its replies
+    depend on call order and it does not say otherwise.
+    """
+
+    def __init__(self, delay=0.05, numbered=False):
+        self.mock = MockProvider(seed=1)
+        self.delay = delay
+        self.numbered = numbered
+        if not numbered:
+            self.call_order_matters = False
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self.lock = threading.Lock()
+
+    def complete(self, request):
+        with self.lock:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self.calls += 1
+            number = self.calls
+        time.sleep(self.delay)
+        with self.lock:
+            self.in_flight -= 1
+        exchange = self.mock.complete(request)
+        if self.numbered:
+            exchange.response = exchange.response.replace("):\n", f"):  # call {number}\n", 1)
+        return exchange
+
+
+class JitteredProvider:
+    """MockProvider with a per-nonce delay, so replies arrive out of call
+    order; ``serial`` puts every call behind one lock instead."""
+
+    call_order_matters = False
+
+    def __init__(self, serial):
+        self.mock = MockProvider(seed=1)
+        self.lock = threading.Lock() if serial else None
+
+    def complete(self, request):
+        delay = (request.nonce % 7) * 0.003
+        if self.lock is None:
+            time.sleep(delay)
+            return self.mock.complete(request)
+        with self.lock:
+            time.sleep(delay)
+            return self.mock.complete(request)
 
 
 def make_config(**kw):
@@ -343,6 +409,96 @@ class TestGaRun:
         a = json.loads((tmp_path / "run" / "checkpoints" / "latest.json").read_text())
         b = json.loads((tmp_path / "clean" / "checkpoints" / "latest.json").read_text())
         assert a == b
+
+    def test_llm_calls_run_concurrently_up_to_the_cap(self, tmp_path):
+        provider = InFlightProvider()
+        config = make_config(n_init=MAX_CONCURRENT_CALLS + 4, iterations=1)
+        make_run(tmp_path, config=config, provider=provider).run()
+        assert 1 < provider.peak <= MAX_CONCURRENT_CALLS
+
+    def test_crossover_and_mutation_calls_are_one_phase(self, tmp_path):
+        provider = InFlightProvider(delay=0.2)
+        config = make_config(n_init=3, n_elite=2, n_offspring=4, iterations=1)
+        make_run(tmp_path, config=config, provider=provider).run()
+        assert provider.peak == 6  # 4 crossover and 2 mutation calls at once
+
+    @staticmethod
+    def _outputs(root):
+        """Every checkpoint, and the journal without its timing and LLM fields."""
+        files = {p.name: json.loads(p.read_text()) for p in (root / "checkpoints").glob("*.json")}
+        journal = []
+        for line in (root / "individuals.jsonl").read_text().splitlines():
+            record = json.loads(line)
+            del record["eval_timing"], record["llm"]
+            journal.append(record)
+        return files, journal
+
+    def test_concurrent_run_matches_serialized_calls(self, tmp_path):
+        config = make_config(iterations=3)
+        make_run(tmp_path / "concurrent", config=config, provider=JitteredProvider(serial=False)).run()
+        make_run(tmp_path / "serial", config=config, provider=JitteredProvider(serial=True)).run()
+        concurrent, serial = self._outputs(tmp_path / "concurrent"), self._outputs(tmp_path / "serial")
+        assert set(concurrent[0]) == {"latest.json", *(f"state-{i:04d}.json" for i in range(4))}
+        assert concurrent == serial
+
+    def test_order_dependent_provider_gets_calls_one_at_a_time(self, tmp_path):
+        config = make_config(iterations=2)
+        providers = [InFlightProvider(delay=0.002, numbered=True) for _ in range(2)]
+        for name, provider in zip("ab", providers):
+            make_run(tmp_path / name, config=config, provider=provider).run()
+        assert [p.peak for p in providers] == [1, 1]
+        assert self._outputs(tmp_path / "a") == self._outputs(tmp_path / "b")
+
+    def test_every_prefetched_evaluation_is_used(self, tmp_path):
+        class Recording(FakeEvaluator):
+            def __init__(self):
+                super().__init__()
+                self.prefetched, self.evaluated = [], []
+
+            def prefetch(self, items):
+                self.prefetched += [(source, manifest) for source, manifest in items]
+
+            def evaluate_source(self, source, manifest):
+                self.evaluated.append((source, manifest))
+                return super().evaluate_source(source, manifest)
+
+        evaluator = Recording()
+        config = make_config(iterations=3, vary_eval_seeds=True)
+        run = make_run(tmp_path, config=config, evaluator=evaluator)
+        run.run()
+        # init individuals, offspring of all but the last generation, and mutants
+        cfg = run.config
+        assert len(evaluator.prefetched) == cfg.n_init + 2 * cfg.n_offspring + 3 * cfg.n_elite
+        assert all(pair in evaluator.evaluated for pair in evaluator.prefetched)
+
+    def test_journal_keeps_llm_exchange_and_checkpoints_do_not(self, tmp_path):
+        make_run(tmp_path, config=make_config(iterations=1)).run()
+        records = [json.loads(line) for line in (tmp_path / "individuals.jsonl").read_text().splitlines()]
+        assert records
+        for record in records:
+            assert set(record["llm"]) == {"latency_s", "input_tokens", "output_tokens", "retry_count"}
+            assert record["llm"]["latency_s"] > 0  # timed by the gateway for the mock
+            assert record["llm"]["retry_count"] == 0
+        state = json.loads((tmp_path / "checkpoints" / "latest.json").read_text())
+        assert all("llm" not in rec for rec in state["individuals"].values())
+        assert Individual.from_record(records[0]).llm == records[0]["llm"]
+
+    def test_failed_evaluation_journals_the_timings_it_has(self, tmp_path):
+        class PartlyFailing(FakeEvaluator):
+            def evaluate_source(self, source, manifest):
+                report = super().evaluate_source(source, manifest)
+                return EvalReport(
+                    status="timeout", per_instance=report.per_instance[:1], build_log="slow"
+                )
+
+        run = make_run(tmp_path, config=make_config(iterations=1), evaluator=PartlyFailing())
+        run.init_population()
+        run._evaluate_all(run.population, 1)
+        records = [json.loads(line) for line in (tmp_path / "individuals.jsonl").read_text().splitlines()]
+        timing = {"startup_s": 0.01, "run_s": 0.02, "peak_rss_mb": 30.0}
+        assert len(records) == run.config.n_init
+        assert all(r["eval_status"] == "timeout" and r["eval_timing"] == [timing] for r in records)
+        assert all(r["eval_detail"] == [] and r["fitness"] == "disqualified" for r in records)
 
     def test_standard_crossover_mode_renders_unbiased_prompt(self, tmp_path):
         seen = []

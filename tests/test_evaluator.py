@@ -578,3 +578,180 @@ class TestRevalidation:
         record = {"objective": 1.0, "feasible": False, "iterations": 5}
         status, _ = ev._revalidate("inst-000", record, train_files[0])
         assert status == "invalid_output"
+
+
+# fails at once on the n=15 instance (inst-002 of ``ladder_files``), and on the
+# n=14 one (inst-001) only after a sleep, so the higher index fails first
+LATE_AND_EARLY = """\
+import time
+
+
+def select_by_llm_1(sol):
+    n = sol.instance.num_customers
+    if n == 15:
+        raise RuntimeError("fast failure on n=15")
+    if n == 14:
+        time.sleep(2.0)
+        raise RuntimeError("slow failure on n=14")
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+# leaves its pid in {pid_dir!r} on every call, and hangs on the smoke
+# instance (n=12) only
+SMOKE_HANGER = """\
+import os
+import time
+
+
+def select_by_llm_1(sol):
+    open(os.path.join({pid_dir!r}, str(os.getpid())), "w").close()
+    if sol.instance.num_customers == 12:
+        time.sleep(3600)
+    time.sleep(0.01)
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+
+@pytest.fixture(scope="module")
+def ladder_files(tmp_path_factory):
+    """Four instances whose customer counts (13..16) tell them apart."""
+    root = tmp_path_factory.mktemp("ladder")
+    return [
+        str(save(generate(GenParams(n=n, seed=n, capacity=25)), root / f"ladder-{n}.txt"))
+        for n in (13, 14, 15, 16)
+    ]
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The entry ids of the children the evaluator starts, in start order."""
+    started = []
+    run_child = evaluator._run_child
+
+    def counted(server, artifact, entry_id, *args, **kwargs):
+        started.append(entry_id)
+        return run_child(server, artifact, entry_id, *args, **kwargs)
+
+    monkeypatch.setattr(evaluator, "_run_child", counted)
+    return started
+
+
+def _summary(report):
+    """A report without the supervisor's timings, which differ run to run."""
+    return (
+        report.status,
+        report.build_log,
+        [(r.id, r.objective, r.feasible, r.iterations) for r in report.per_instance],
+    )
+
+
+class TestBatch:
+    def test_lowest_failing_index_decides_as_in_a_serial_run(self, tmp_path, ladder_files, children):
+        m = manifest_for(ladder_files)
+        with Evaluator(tmp_path, workers=2, smoke_test=False) as ev:
+            concurrent = ev.evaluate_source(LATE_AND_EARLY, m)
+        # inst-002 failed first, so inst-003 never started; inst-001 ran on
+        assert sorted(children) == ["inst-000", "inst-001", "inst-002"]
+        with Evaluator(tmp_path, workers=1, smoke_test=False) as ev:
+            serial = ev.evaluate_source(LATE_AND_EARLY, m)
+        assert concurrent.status == "runtime_error"
+        assert "slow failure on n=14" in concurrent.build_log
+        assert [r.id for r in concurrent.per_instance] == ["inst-000"]
+        assert _summary(concurrent) == _summary(serial)
+
+    def test_smoke_hang_stops_the_training_runs_beside_it(self, tmp_path, train_files):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        source = SMOKE_HANGER.format(pid_dir=str(pid_dir))
+        # the training runs would go on for 30 s each if nothing stopped them
+        m = manifest_for(train_files, per_instance_time=30.0, per_instance_iterations=None)
+        smoke_grace = 1.0 * evaluator.RUN_GRACE_FACTOR + evaluator.RUN_GRACE_CONST
+        with Evaluator(tmp_path / "cache", workers=2, smoke_test=True) as ev:
+            started = time.monotonic()
+            report = ev.evaluate_source(source, m)
+            elapsed = time.monotonic() - started
+        assert report.status == "timeout"
+        assert report.build_log.startswith("preflight smoke failed:")
+        assert elapsed < smoke_grace + 5.0, elapsed
+        pids = [int(name) for name in os.listdir(pid_dir)]
+        assert len(pids) >= 2  # the smoke child and at least one training child ran
+        assert all(_gone_within(pid, 5) for pid in pids)
+
+    def test_a_failing_candidate_leaves_its_neighbour_unchanged(self, tmp_path, train_files):
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path / "a", workers=2, smoke_test=True) as ev:
+            broken, crashing, seed = ev.evaluate_sources(
+                [("def broken(:\n", m), (CRASHING, m), (SEED_SOURCE, m)]
+            )
+        with Evaluator(tmp_path / "b", workers=2, smoke_test=True) as ev:
+            alone = ev.evaluate_source(SEED_SOURCE, m)
+        assert broken.status == "compile_error"
+        assert crashing.status == "runtime_error"
+        assert crashing.build_log.startswith("preflight smoke failed:")
+        assert seed.ok
+        assert _summary(seed) == _summary(alone)
+
+    def test_duplicate_sources_in_a_batch_run_once(self, tmp_path, train_files, children):
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            first, second = ev.evaluate_sources([(SEED_SOURCE, m), (SEED_SOURCE, m)])
+        assert first.ok and second is first
+        assert sorted(children) == ["inst-000", "inst-001", "smoke"]
+
+    def test_smoke_verdict_is_kept_per_artifact(self, tmp_path, train_files, children):
+        training, validation = manifest_for(train_files), manifest_for(train_files[:1])
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            assert ev.evaluate_source(SEED_SOURCE, training).ok
+            assert ev.evaluate_source(CRASHING, training).status == "runtime_error"
+            del children[:]
+            assert ev.evaluate_source(SEED_SOURCE, validation).ok
+            assert children == ["inst-000"]  # passed its smoke run already
+            del children[:]
+            report = ev.evaluate_source(CRASHING, validation)
+            assert children == []  # failed it already
+        assert report.status == "runtime_error"
+        assert report.build_log.startswith("preflight smoke failed:")
+
+    def test_prefetched_jobs_run_once(self, tmp_path, train_files, children):
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path / "a", workers=2, smoke_test=True) as ev:
+            ev.prefetch([(SEED_SOURCE, m)])
+            prefetched, = ev.evaluate_sources([(SEED_SOURCE, m)])
+        assert sorted(children) == ["inst-000", "inst-001", "smoke"]
+        with Evaluator(tmp_path / "b", workers=2, smoke_test=True) as ev:
+            plain = ev.evaluate_source(SEED_SOURCE, m)
+        assert prefetched.ok
+        assert _summary(prefetched) == _summary(plain)
+
+    def test_close_stops_prefetched_jobs(self, tmp_path, train_files):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        source = SMOKE_HANGER.format(pid_dir=str(pid_dir)).replace("== 12", "> 0")  # hangs everywhere
+        ev = Evaluator(tmp_path / "cache", workers=2, smoke_test=False)
+        ev.prefetch([(source, manifest_for(train_files, per_instance_time=30.0))])
+        deadline = time.monotonic() + 60
+        while len(os.listdir(pid_dir)) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+        started = time.monotonic()
+        ev.close()
+        assert time.monotonic() - started < 10
+        assert all(_gone_within(int(pid), 5) for pid in os.listdir(pid_dir))
+
+    def test_start_is_idempotent_and_only_starts_the_server(self, tmp_path, train_files):
+        with Evaluator(tmp_path, smoke_test=False) as ev:
+            assert ev._server is None
+            ev.start()
+            pid = ev._server.proc.pid
+            ev.start()
+            assert ev._server.proc.pid == pid
+            assert ev.evaluate_source(SEED_SOURCE, manifest_for(train_files[:1])).ok
+            assert ev._server.proc.pid == pid

@@ -45,6 +45,25 @@ class TestMockProvider:
         assert out.response == "hello ```python\ncode\n```"
         assert (out.input_tokens, out.output_tokens) == (0, 0)
 
+    def test_script_replays_each_reply_once_to_concurrent_callers(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        script = [f"reply {i}" for i in range(200)]
+        gw = Gateway(MockProvider(script=script))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so an unlocked update gets lost
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                calls = [pool.submit(gw.complete, _messages(), nonce=i) for i in range(200)]
+                replies = [call.result(timeout=60).response for call in calls]
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(replies) == sorted(script)
+        assert gw.ledger.calls == 200
+        with pytest.raises(MalformedResponseError):
+            gw.complete(_messages())
+
     def test_pure_function_of_digest_nonce_seed(self):
         a = MockProvider(seed=5).complete(ChatRequest(messages=_messages(), nonce=3))
         b = MockProvider(seed=5).complete(ChatRequest(messages=_messages(), nonce=3))
