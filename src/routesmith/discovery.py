@@ -9,19 +9,14 @@ offspring. Fitness is the mean training objective plus a code-length
 penalty; any build/run/feasibility failure disqualifies (infinite
 fitness), so failures can never become elite.
 
-The LLM calls of a phase (the seed calls, or one generation's crossover
-and mutation calls) are all issued before any reply is awaited. When the
-provider's replies do not depend on the order of its calls, up to
-``MAX_CONCURRENT_CALLS`` run at once; otherwise (a scripted mock, a provider
-that numbers its calls, any provider that does not say) they run one at a
-time in the serial order: crossover calls, then mutation calls. Each
+The LLM calls are made one at a time, in the serial order (the seed calls,
+then per generation the crossover calls and the mutation calls), and each
 individual's evaluation is queued (``Evaluator.prefetch``) as soon as its
-source arrives, so the evaluator works while later calls are in flight; the
-generation that scores it collects the report.
-All randomness is derived from (master_seed, iteration, role) and drawn
-before the calls are made, and individuals get their ids and journal lines
-in the serial order, which makes runs resumable: a checkpoint at any
-iteration boundary continues bit for bit like the uninterrupted run.
+source arrives, so the evaluator works while the later calls are in
+flight; the generation that scores it collects the report.
+All randomness is derived from (master_seed, iteration, role), which makes
+runs resumable: a checkpoint at any iteration boundary continues bit for
+bit like the uninterrupted run.
 """
 
 from __future__ import annotations
@@ -41,9 +36,6 @@ from .util import count_lines, derive_seed, make_rng
 log = logging.getLogger(__name__)
 
 UNEVALUATED = None
-# LLM calls in flight at once for a provider whose replies do not depend on
-# call order; a phase with more calls queues the rest
-MAX_CONCURRENT_CALLS = 8
 
 
 @dataclass
@@ -194,8 +186,6 @@ class DiscoveryRun:
         self.next_id = 0
         self.completed_iterations = 0
         self.history: list[dict] = []
-        # made by the first LLM call; its idle threads end with the run object
-        self._llm_pool = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -235,9 +225,6 @@ class DiscoveryRun:
             per_instance_time=cfg.per_instance_time,
             per_instance_iterations=cfg.per_instance_iterations,
         )
-
-    def _evaluate(self, ind: Individual, iteration: int) -> None:
-        self._evaluate_all([ind], iteration)
 
     def _evaluate_all(self, individuals: list[Individual], iteration: int) -> None:
         """Evaluate individuals as one batch, then journal them in order."""
@@ -279,99 +266,51 @@ class DiscoveryRun:
                 log.warning("generation failed (%s, attempt %d): %s", template_id, attempt, exc)
         return None
 
-    def _start_calls(self, calls: list[tuple]) -> list:
-        """Issue ``_generate_with_retry`` calls in order; one future each.
-
-        Every call's nonce comes from its own seed path. A provider that
-        sets ``call_order_matters = False`` answers each call from its
-        request alone, so its calls run concurrently; any other provider gets
-        them one at a time, in the order issued, and so sees the calls of the
-        serial loop in the same order. The gateway, the ledger, ``render``
-        and both built-in providers are safe to call from several threads.
-        """
-        if self._llm_pool is None:
-            # a lazy import keeps concurrent.futures out of processes that never discover
-            from concurrent.futures import ThreadPoolExecutor
-
-            ordered = getattr(self.gateway.provider, "call_order_matters", True)
-            width = 1 if ordered else MAX_CONCURRENT_CALLS
-            self._llm_pool = ThreadPoolExecutor(width, thread_name_prefix="routesmith-llm")
-        return [self._llm_pool.submit(self._generate_with_retry, *call) for call in calls]
-
     def init_population(self) -> None:
         cfg = self.config
-        calls = self._start_calls(
-            [("seed", {}, cfg.temperature_init, ("init", i)) for i in range(cfg.n_init)]
-        )
-        for i, call in enumerate(calls):
-            generated = call.result()
+        for i in range(cfg.n_init):
+            generated = self._generate_with_retry("seed", {}, cfg.temperature_init, ("init", i))
             if generated is None:
                 raise DiscoveryError(f"could not generate initial individual {i}")
             self.population.append(self._new_individual(*generated, (), "init"))
             # the first generation evaluates it; its jobs start now
             self.evaluator.prefetch([(generated[0], self._manifest(1))])
 
-    def _request_offspring(self, elites: list[Individual], non_elites: list[Individual], iteration: int) -> list[tuple]:
-        """Draw each child's parents and issue its call: ((elite, non_elite), future) pairs."""
+    def make_offspring(self, elites: list[Individual], non_elites: list[Individual], iteration: int) -> list[Individual]:
         cfg = self.config
         if not elites or not non_elites:
             raise DiscoveryError("both parent pools must be non-empty")
         rng = make_rng(derive_seed(cfg.master_seed, "breed", iteration))
         template = "crossover" if cfg.crossover_mode == "biased" else "crossover-standard"
-        parents = [
-            (elites[int(rng.integers(len(elites)))], non_elites[int(rng.integers(len(non_elites)))])
-            for _ in range(cfg.n_offspring)
-        ]
-        calls = self._start_calls([
-            (template, {"code_parent_1": elite.source, "code_parent_2": non_elite.source},
-             cfg.temperature_evolve, ("cross", iteration, i))
-            for i, (elite, non_elite) in enumerate(parents)
-        ])
-        return list(zip(parents, calls))
-
-    def make_offspring(
-        self, elites: list[Individual], non_elites: list[Individual], iteration: int, crossovers=None
-    ) -> list[Individual]:
-        """The crossover children; ``crossovers`` are the calls
-        ``_request_offspring`` already issued, else they are issued here."""
-        if crossovers is None:
-            crossovers = self._request_offspring(elites, non_elites, iteration)
         brood: list[Individual] = []
-        for i, ((elite, non_elite), call) in enumerate(crossovers):
-            generated = call.result()
+        for i in range(cfg.n_offspring):
+            elite = elites[int(rng.integers(len(elites)))]
+            non_elite = non_elites[int(rng.integers(len(non_elites)))]
+            extra = {"code_parent_1": elite.source, "code_parent_2": non_elite.source}
+            generated = self._generate_with_retry(
+                template, extra, cfg.temperature_evolve, ("cross", iteration, i)
+            )
             if generated is None:
                 log.warning("skipping offspring %d of iteration %d after retries", i, iteration)
                 continue
             brood.append(self._new_individual(*generated, (elite.id, non_elite.id), "crossover"))
-            if iteration < self.config.iterations:
+            if iteration < cfg.iterations:
                 # the next generation evaluates it; its jobs start now
                 self.evaluator.prefetch([(generated[0], self._manifest(iteration + 1))])
         return brood
 
-    def _request_mutations(self, elites: list[Individual], iteration: int) -> list[tuple]:
-        """Draw each elite's mutation kind and issue its call: (kind, future) pairs."""
+    def mutate_elites(self, elites: list[Individual], iteration: int) -> list[Individual]:
+        """Replace each elite by its mutant where the mutant is strictly better."""
         cfg = self.config
-        rng = make_rng(derive_seed(cfg.master_seed, "mutate", iteration))
-        kinds = [MUTATION_KINDS[int(rng.integers(len(MUTATION_KINDS)))] for _ in elites]
-        calls = self._start_calls([
-            (kind, {"code": elite.source}, cfg.temperature_evolve, ("mut", iteration, idx))
-            for idx, (kind, elite) in enumerate(zip(kinds, elites))
-        ])
-        return list(zip(kinds, calls))
-
-    def mutate_elites(self, elites: list[Individual], iteration: int, mutations=None) -> list[Individual]:
-        """Replace each elite by its mutant where the mutant is strictly better.
-
-        ``mutations`` are the calls ``_request_mutations`` already issued for
-        these elites; without them the calls are issued here.
-        """
-        if not self.config.mutation_enabled:
+        if not cfg.mutation_enabled:
             return elites
-        if mutations is None:
-            mutations = self._request_mutations(elites, iteration)
-        mutants = []
-        for elite, (kind, call) in zip(elites, mutations):
-            generated = call.result()
+        rng = make_rng(derive_seed(cfg.master_seed, "mutate", iteration))
+        mutants: list[Individual | None] = []
+        for idx, elite in enumerate(elites):
+            kind = MUTATION_KINDS[int(rng.integers(len(MUTATION_KINDS)))]
+            generated = self._generate_with_retry(
+                kind, {"code": elite.source}, cfg.temperature_evolve, ("mut", iteration, idx)
+            )
             if generated is None:
                 mutants.append(None)
                 continue
@@ -429,12 +368,8 @@ class DiscoveryRun:
         for iteration in range(self.completed_iterations + 1, cfg.iterations + 1):
             self._evaluate_all([ind for ind in self.population if not ind.evaluated], iteration)
             elites, non_elites = top_k_elite(self.population, cfg.n_elite)
-            # one phase: every crossover and mutation call is issued, in the
-            # serial order, before any reply is awaited
-            crossovers = self._request_offspring(elites, non_elites, iteration)
-            mutations = self._request_mutations(elites, iteration) if cfg.mutation_enabled else None
-            offspring = self.make_offspring(elites, non_elites, iteration, crossovers)
-            elites = self.mutate_elites(elites, iteration, mutations)
+            offspring = self.make_offspring(elites, non_elites, iteration)
+            elites = self.mutate_elites(elites, iteration)
             self.population = list(elites) + offspring
             self.completed_iterations = iteration
             elite_min = min(e.fitness for e in elites)

@@ -18,7 +18,9 @@ limit before it loads candidate code; the supervisor enforces the wall-clock
 limits, rebuilds and re-validates the returned tours with the core validator
 (a result without tours is invalid), and maps every failure mode to a report
 status. A crashing or resource-hogging candidate can only ever take down its
-own child process. ``Evaluator.close`` (or leaving its ``with`` block) stops
+own child process; one that stops the server fails its own evaluation, and
+the jobs of other candidates that were on that server run again, alone.
+``Evaluator.close`` (or leaving its ``with`` block) stops
 the server; so does collecting the evaluator or the end of the process.
 """
 
@@ -35,6 +37,7 @@ import tempfile
 import threading
 import time
 import weakref
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -230,11 +233,13 @@ class _ChildServer:
     the manifest path, with the write ends of the child's stdout and stderr
     pipes and the server's end of a per-job reply socket attached. Closing
     the control socket ends the server, which kills its live jobs first.
+    ``tenants`` holds the artifact digests of the candidates it ran jobs for.
     """
 
     def __init__(self):
         import socket
 
+        self.tenants: set[str] = set()
         self._control, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         # numpy's import would otherwise start a BLAS thread, and the server forks
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -499,6 +504,37 @@ class _Candidate:
         return EvalReport(status="ok", per_instance=per_instance)
 
 
+class _JobGate:
+    """Lets jobs run side by side, or one job run alone.
+
+    A job waiting to run alone holds back the jobs that have not started
+    yet, and starts once the running ones have ended.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition()
+        self._running = 0  # -1 while a job runs alone
+        self._waiting_alone = 0
+
+    @contextmanager
+    def hold(self, alone: bool):
+        with self._cond:
+            if alone:
+                self._waiting_alone += 1
+                self._cond.wait_for(lambda: self._running == 0)
+                self._waiting_alone -= 1
+                self._running = -1
+            else:
+                self._cond.wait_for(lambda: self._running >= 0 and not self._waiting_alone)
+                self._running += 1
+        try:
+            yield
+        finally:
+            with self._cond:
+                self._running = 0 if alone else self._running - 1
+                self._cond.notify_all()
+
+
 class Evaluator:
     """Scores candidate sources by supervised execution over instances.
 
@@ -508,7 +544,10 @@ class Evaluator:
     waits for the reports. With ``smoke_test`` on, a smoke run on one tiny
     instance runs beside each candidate's training runs; its verdict is kept
     per artifact, so a source is smoke-run once per evaluator. A candidate's
-    first failure stops its later jobs. Reports are cached by (source
+    first failure stops its later jobs. A candidate's child can stop the
+    server that forked it, and with it the jobs of other candidates: a job
+    whose server ended after it ran jobs of more than one candidate runs
+    again alone, where the outcome is its own. Reports are cached by (source
     digest, manifest digest): with fixed per-instance seeds and an iteration
     budget they are deterministic, and each equals the report of a serial
     run. The evaluator is driven from one thread at a time. Use it as a
@@ -528,8 +567,7 @@ class Evaluator:
         # candidates whose jobs are queued or running, by report-cache key
         self._in_flight: dict[tuple[str, str], _Candidate] = {}
         self._pool = None  # the job pool, made by the first job
-        # the slots of the batch whose reports evaluate_source hands out
-        self._collecting: dict | None = None
+        self._gate = _JobGate()
         # started by the first child or by start(), so an evaluator that never
         # evaluates costs nothing
         self._server: _ChildServer | None = None
@@ -647,19 +685,28 @@ class Evaluator:
 
     def _run_job(self, cand: _Candidate, index: int) -> None:
         try:
-            if cand.first_failure < index:
-                cand.record(index)  # dropped: a lower-index job failed
-                return
             if index < 0:
                 manifest, entry_id = self._smoke(), "smoke"
                 path, seed = manifest.instance_paths[0], manifest.seeds[0]
             else:
                 manifest, entry_id = cand.manifest, f"inst-{index:03d}"
                 path, seed = manifest.instance_paths[index], manifest.seeds[index]
-            status, record, detail = _run_child(
-                self._child_server(), cand.artifact, entry_id, path, seed, manifest,
-                cand.workdir, stop=lambda: cand.first_failure < index,
-            )
+            for alone in (False, True):
+                with self._gate.hold(alone):
+                    if cand.first_failure < index:
+                        cand.record(index)  # dropped: a lower-index job failed
+                        return
+                    server = self._child_server()
+                    server.tenants.add(cand.artifact.digest)
+                    status, record, detail = _run_child(
+                        server, cand.artifact, entry_id, path, seed, manifest,
+                        cand.workdir, stop=lambda: cand.first_failure < index,
+                    )
+                # any candidate with a job on a server that ended may have
+                # stopped it; unless that is this one alone, the job runs
+                # again alone, where the outcome is its own
+                if server.proc.poll() is None or server.tenants == {cand.artifact.digest}:
+                    break
             if status == "ok":
                 status, result = self._revalidate(entry_id, record, path)
                 if status == "ok":
@@ -727,27 +774,29 @@ class Evaluator:
         the report cache or among the prefetched ones) runs once.
         """
         slots = self._queue(items)
-        # each report is handed out by evaluate_source, the one-candidate
-        # entry point, so whatever wraps it sees every evaluation
-        self._collecting = slots
         try:
             return [self.evaluate_source(source, manifest) for source, manifest in items]
         finally:
-            self._collecting = None
             for key, slot in slots.items():
-                if isinstance(slot, _Candidate):  # not collected: the batch raised
+                if self._in_flight.get(key) is slot:  # not collected: the batch raised
                     slot.stop()
-                    self._in_flight.pop(key, None)
+                    del self._in_flight[key]
 
     def evaluate_source(self, source: str, manifest: EvalManifest) -> EvalReport:
-        """Build + evaluate one source: the one-item case of ``evaluate_sources``."""
-        slots = self._collecting
-        if slots is None:
-            return self.evaluate_sources([(source, manifest)])[0]
-        key = (source_digest(source), manifest.digest())
-        slot = slots[key]
-        if isinstance(slot, _Candidate):
+        """Build + evaluate one source: the one-item case of ``evaluate_sources``.
+
+        Jobs already queued for the pair (by a batch or ``prefetch``) are
+        waited for, not queued again.
+        """
+        (key, slot), = self._queue([(source, manifest)]).items()
+        if not isinstance(slot, _Candidate):
+            return slot
+        try:
             report = slot.report()
+        except BaseException:
+            slot.stop()
+            raise
+        finally:
             del self._in_flight[key]
-            slot = slots[key] = self._report_cache[key] = report
-        return slot
+        self._report_cache[key] = report
+        return report

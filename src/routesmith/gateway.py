@@ -205,7 +205,7 @@ class MockProvider:
 
     With ``script`` set, replays the given responses in order (verbatim):
     in the order the calls arrive, so concurrent callers get them in an
-    order that depends on timing, and ``call_order_matters`` is true.
+    order that depends on timing.
     Otherwise the reply is a corpus source picked by hashing the rendered
     prompt digest, the request nonce, and the provider seed; fenced like a
     real model reply. Usage is always reported as (0, 0).
@@ -217,11 +217,6 @@ class MockProvider:
         self.script = list(script) if script is not None else None
         self._cursor = 0
         self._cursor_lock = threading.Lock()
-
-    @property
-    def call_order_matters(self) -> bool:
-        """Whether a reply depends on the calls made before it."""
-        return self.script is not None
 
     def complete(self, request: ChatRequest) -> ChatExchange:
         if self.script is not None:
@@ -246,9 +241,6 @@ class HttpProvider:
     immediately; anything not shaped like a chat completion raises
     MalformedResponseError.
     """
-
-    # a reply depends on its request only, not on the calls made before it
-    call_order_matters = False
 
     def __init__(
         self,
@@ -363,10 +355,8 @@ class Gateway:
     ledger are updated under one lock, ``render`` and the request are pure,
     ``MockProvider`` replies are a pure function of the request (a script's
     cursor is locked), and ``HttpProvider`` keeps no state between calls (one
-    ``requests.post`` each, no shared session). The gateway itself sets no
-    bound on concurrent calls; callers do (see ``discovery``, which runs
-    calls concurrently only for a provider with ``call_order_matters``
-    false).
+    ``requests.post`` each, no shared session). The gateway sets no bound
+    on concurrent calls; ``discovery`` makes its calls one at a time.
     """
 
     def __init__(

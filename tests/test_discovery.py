@@ -6,7 +6,6 @@ import time
 import pytest
 
 from routesmith.discovery import (
-    MAX_CONCURRENT_CALLS,
     DiscoveryConfig,
     DiscoveryRun,
     Individual,
@@ -75,20 +74,14 @@ class EchoParentProvider:
         return ChatExchange(request=request, response=f"```python\n{code}\n```")
 
 
-class InFlightProvider:
-    """MockProvider replies after a delay; records the peak of calls in flight.
+class NumberedProvider:
+    """MockProvider replies after a delay, each tagged with the number of
+    calls made before it (as a comment), so the replies depend on call
+    order; records the peak of calls in flight."""
 
-    With ``numbered`` each reply carries the number of calls made before it
-    (as a comment, like a provider that tags its replies), so its replies
-    depend on call order and it does not say otherwise.
-    """
-
-    def __init__(self, delay=0.05, numbered=False):
+    def __init__(self, delay):
         self.mock = MockProvider(seed=1)
         self.delay = delay
-        self.numbered = numbered
-        if not numbered:
-            self.call_order_matters = False
         self.calls = 0
         self.in_flight = 0
         self.peak = 0
@@ -104,29 +97,8 @@ class InFlightProvider:
         with self.lock:
             self.in_flight -= 1
         exchange = self.mock.complete(request)
-        if self.numbered:
-            exchange.response = exchange.response.replace("):\n", f"):  # call {number}\n", 1)
+        exchange.response = exchange.response.replace("):\n", f"):  # call {number}\n", 1)
         return exchange
-
-
-class JitteredProvider:
-    """MockProvider with a per-nonce delay, so replies arrive out of call
-    order; ``serial`` puts every call behind one lock instead."""
-
-    call_order_matters = False
-
-    def __init__(self, serial):
-        self.mock = MockProvider(seed=1)
-        self.lock = threading.Lock() if serial else None
-
-    def complete(self, request):
-        delay = (request.nonce % 7) * 0.003
-        if self.lock is None:
-            time.sleep(delay)
-            return self.mock.complete(request)
-        with self.lock:
-            time.sleep(delay)
-            return self.mock.complete(request)
 
 
 def make_config(**kw):
@@ -226,8 +198,7 @@ class TestOffspring:
     def test_lineage_records_parents_and_kind(self, tmp_path):
         run = make_run(tmp_path)
         run.init_population()
-        for individual in run.population:
-            run._evaluate(individual, 1)
+        run._evaluate_all(run.population, 1)
         elites, rest = top_k_elite(run.population, 2)
         brood = run.make_offspring(elites, rest, iteration=1)
         assert len(brood) == run.config.n_offspring
@@ -242,8 +213,7 @@ class TestOffspring:
     def test_echo_mock_child_equals_elite_source(self, tmp_path):
         run = make_run(tmp_path, provider=EchoParentProvider())
         run.init_population()
-        for individual in run.population:
-            run._evaluate(individual, 1)
+        run._evaluate_all(run.population, 1)
         elites, rest = top_k_elite(run.population, 2)
         brood = run.make_offspring(elites, rest, iteration=1)
         by_id = {e.id: e for e in elites}
@@ -258,8 +228,7 @@ class TestMutation:
     def _prepared_run(self, tmp_path, evaluator):
         run = make_run(tmp_path, provider=EchoParentProvider(), evaluator=evaluator)
         run.init_population()
-        for individual in run.population:
-            run._evaluate(individual, 1)
+        run._evaluate_all(run.population, 1)
         return run
 
     def test_equal_fitness_keeps_original(self, tmp_path):
@@ -289,8 +258,7 @@ class TestMutation:
     def test_mutation_disabled_leaves_elites_untouched(self, tmp_path):
         run = make_run(tmp_path, config=make_config(mutation_enabled=False))
         run.init_population()
-        for individual in run.population:
-            run._evaluate(individual, 1)
+        run._evaluate_all(run.population, 1)
         elites, _ = top_k_elite(run.population, 2)
         before = len(run.individuals)
         out = run.mutate_elites(list(elites), iteration=1)
@@ -410,18 +378,6 @@ class TestGaRun:
         b = json.loads((tmp_path / "clean" / "checkpoints" / "latest.json").read_text())
         assert a == b
 
-    def test_llm_calls_run_concurrently_up_to_the_cap(self, tmp_path):
-        provider = InFlightProvider()
-        config = make_config(n_init=MAX_CONCURRENT_CALLS + 4, iterations=1)
-        make_run(tmp_path, config=config, provider=provider).run()
-        assert 1 < provider.peak <= MAX_CONCURRENT_CALLS
-
-    def test_crossover_and_mutation_calls_are_one_phase(self, tmp_path):
-        provider = InFlightProvider(delay=0.2)
-        config = make_config(n_init=3, n_elite=2, n_offspring=4, iterations=1)
-        make_run(tmp_path, config=config, provider=provider).run()
-        assert provider.peak == 6  # 4 crossover and 2 mutation calls at once
-
     @staticmethod
     def _outputs(root):
         """Every checkpoint, and the journal without its timing and LLM fields."""
@@ -433,17 +389,9 @@ class TestGaRun:
             journal.append(record)
         return files, journal
 
-    def test_concurrent_run_matches_serialized_calls(self, tmp_path):
-        config = make_config(iterations=3)
-        make_run(tmp_path / "concurrent", config=config, provider=JitteredProvider(serial=False)).run()
-        make_run(tmp_path / "serial", config=config, provider=JitteredProvider(serial=True)).run()
-        concurrent, serial = self._outputs(tmp_path / "concurrent"), self._outputs(tmp_path / "serial")
-        assert set(concurrent[0]) == {"latest.json", *(f"state-{i:04d}.json" for i in range(4))}
-        assert concurrent == serial
-
-    def test_order_dependent_provider_gets_calls_one_at_a_time(self, tmp_path):
+    def test_llm_calls_run_one_at_a_time_in_serial_order(self, tmp_path):
         config = make_config(iterations=2)
-        providers = [InFlightProvider(delay=0.002, numbered=True) for _ in range(2)]
+        providers = [NumberedProvider(delay=0.002) for _ in range(2)]
         for name, provider in zip("ab", providers):
             make_run(tmp_path / name, config=config, provider=provider).run()
         assert [p.peak for p in providers] == [1, 1]

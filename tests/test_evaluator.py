@@ -699,6 +699,54 @@ class TestBatch:
         assert seed.ok
         assert _summary(seed) == _summary(alone)
 
+    @pytest.mark.parametrize("sig", ["SIGKILL", "SIGSTOP"])
+    def test_a_server_killer_leaves_its_neighbour_unchanged(self, tmp_path, train_files, sig):
+        m, validation = manifest_for(train_files), manifest_for(train_files[:1])
+        source = SERVER_KILLER.replace("SIGKILL", sig)
+        with Evaluator(tmp_path / "a", workers=2, smoke_test=True) as ev:
+            killer, seed = ev.evaluate_sources([(source, m), (SEED_SOURCE, m)])
+            # its smoke verdict was not the killer's doing either
+            validated = ev.evaluate_source(SEED_SOURCE, validation)
+        with Evaluator(tmp_path / "b", workers=2, smoke_test=True) as ev:
+            alone = ev.evaluate_source(SEED_SOURCE, m)
+        assert killer.status in ("runtime_error", "timeout"), killer.build_log
+        assert killer.build_log.startswith("preflight smoke failed:")
+        assert _summary(seed) == _summary(alone)
+        assert validated.ok
+
+    def test_job_gate_runs_an_alone_job_by_itself(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        gate, lock = evaluator._JobGate(), threading.Lock()
+        inside = {"shared": 0, "alone": 0}
+        clashes, peak = [], [0]
+
+        def job(k):
+            alone = k % 9 == 0
+            kind = "alone" if alone else "shared"
+            with gate.hold(alone):
+                with lock:
+                    inside[kind] += 1
+                    peak[0] = max(peak[0], inside["shared"])
+                    if inside["alone"] > 1 or (inside["alone"] and inside["shared"]):
+                        clashes.append(k)
+                time.sleep(0.0005)
+                with lock:
+                    inside[kind] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for call in [pool.submit(job, k) for k in range(400)]:
+                    call.result(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert clashes == []
+        assert peak[0] > 1  # the shared jobs did run side by side
+        assert inside == {"shared": 0, "alone": 0}
+
     def test_duplicate_sources_in_a_batch_run_once(self, tmp_path, train_files, children):
         m = manifest_for(train_files)
         with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
