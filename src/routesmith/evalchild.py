@@ -32,6 +32,7 @@ import json
 import os
 import signal
 import sys
+from pathlib import Path
 
 
 def _emit(record: dict) -> None:
@@ -44,7 +45,7 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: python -m routesmith.evalchild <manifest.json>", file=sys.stderr)
         return 2
-    manifest = json.loads(open(argv[0]).read())
+    manifest = json.loads(Path(argv[0]).read_text())
     if manifest.get("memory_limit") is not None:
         import resource
 
@@ -58,7 +59,7 @@ def main(argv=None) -> int:
     # children run under RLIMIT_AS and never compile; the parent built the kernels
     lns.warm_kernels(build=False)
     instance = inst_io.load(manifest["instance"])
-    source = open(manifest["source_path"]).read()
+    source = Path(manifest["source_path"]).read_text()
     try:
         pair = CandidateRuntime(source).make_pair()
     except Exception as exc:

@@ -1,14 +1,17 @@
 """Build and score candidate operator source under process isolation.
 
 ``build`` syntax-checks candidate source against the pinned operator
-interface and stores it as a content-addressed artifact. ``evaluate_sources``
-scores a batch of candidates (``prefetch`` queues one without waiting):
-every job of every candidate (a preflight smoke run on one tiny instance,
-and one run per training instance) goes to the evaluator's one pool of
-``workers`` supervised child processes, smoke runs first, so the smoke run
-runs beside the training runs instead of ahead of them. Each child executes
-the full LNS loop with the candidate operators and emits line-delimited JSON
-records on stdout. Children fork from a warm server that the ``Evaluator``
+interface and stores it as a content-addressed artifact.
+``evaluate_sources`` scores a batch of candidates (``prefetch`` queues one
+without waiting): every job of every candidate (a preflight smoke run on one
+tiny instance, and one run per training instance) goes to the evaluator's
+one pool of ``workers`` supervised child processes, smoke runs first, so the
+smoke run runs beside the training runs instead of ahead of them. Each child
+executes the full LNS loop with the candidate operators and emits
+line-delimited JSON records on stdout. The supervisor reads its stdout and
+stderr while it runs and ignores stdout lines that are not protocol records;
+a failure's report (other than the candidate's own exception) keeps the last
+8 KiB of stderr. Children fork from a warm server that the ``Evaluator``
 starts on its first evaluation, or at ``start`` (``python -m
 routesmith.evalchild --serve``): it has numpy, the package and the compiled
 kernels loaded and never runs candidate code itself, and each child starts a
@@ -20,8 +23,8 @@ limits, rebuilds and re-validates the returned tours with the core validator
 status. A crashing or resource-hogging candidate can only ever take down its
 own child process; one that stops the server fails its own evaluation, and
 the jobs of other candidates that were on that server run again, alone.
-``Evaluator.close`` (or leaving its ``with`` block) stops
-the server; so does collecting the evaluator or the end of the process.
+``Evaluator.close`` (or leaving its ``with`` block) stops the server; so
+does collecting the evaluator or the end of the process.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import select
 import shutil
 import signal
 import subprocess
@@ -77,7 +81,6 @@ class EvalManifest:
     per_instance_time: float = 20.0
     per_instance_iterations: int | None = None
     memory_limit_bytes: int = 4 * 1024**3
-    build_timeout: float = 30.0
 
     def __post_init__(self):
         if len(self.instance_paths) != len(self.seeds):
@@ -121,7 +124,6 @@ class EvalReport:
     status: str  # ok | compile_error | runtime_error | timeout | invalid_output
     per_instance: list[InstanceResult] = field(default_factory=list)
     build_log: str = ""
-    shim_version: str = SHIM_VERSION
 
     @property
     def ok(self) -> bool:
@@ -173,52 +175,40 @@ def fitness_from_report(report: EvalReport, line_count: int, lam: float) -> floa
 _MAX_LINE = 16 * 1024 * 1024
 
 
-class _OutputReader(threading.Thread):
-    """Drains a child's stdout without letting a flood block or OOM us.
+class _StdoutParser:
+    """Splits a child's stdout, fed chunk by chunk, into protocol records.
 
-    Chunked reads with manual line splitting: a child writing endless bytes
-    with no newline is flagged as a flood instead of growing our buffers,
-    and the pipe keeps draining so the child never blocks before the
-    supervisor kills it.
+    More than ``MAX_CHILD_OUTPUT`` bytes, or a line longer than
+    ``_MAX_LINE``, is flagged as a flood instead of growing our buffers, and
+    what follows is dropped. A line that is not a JSON object is ignored.
     """
 
-    def __init__(self, stream):
-        super().__init__(daemon=True)
-        self.stream = stream
+    def __init__(self):
         self.records: list[dict] = []
         self.bytes_read = 0
         self.flooded = False
         self.ready_at: float | None = None
         self.done_at: float | None = None
+        self._buf = b""
 
-    def run(self):
-        buf = b""
-        while True:
-            chunk = self.stream.read1(65536)
-            if not chunk:
-                break
-            self.bytes_read += len(chunk)
-            if self.bytes_read > MAX_CHILD_OUTPUT or (self.flooded and not buf):
-                self.flooded = True
-                buf = b""
-                continue
-            buf += chunk
-            if len(buf) > _MAX_LINE:
-                self.flooded = True
-                buf = b""
-                continue
-            while b"\n" in buf:
-                line, buf = buf.split(b"\n", 1)
-                self._handle(line.strip())
-        self.stream.close()
+    def feed(self, chunk: bytes) -> None:
+        self.bytes_read += len(chunk)
+        self._buf += chunk
+        if self.flooded or self.bytes_read > MAX_CHILD_OUTPUT or len(self._buf) > _MAX_LINE:
+            self.flooded = True
+            self._buf = b""
+            return
+        while b"\n" in self._buf:
+            line, self._buf = self._buf.split(b"\n", 1)
+            self._handle(line.strip())
 
     def _handle(self, line: bytes) -> None:
-        if not line:
-            return
         try:
             record = json.loads(line)
         except ValueError:
-            record = {"type": "garbage", "raw": line[:500].decode("utf-8", "replace")}
+            return
+        if not isinstance(record, dict):  # a bare number or string a candidate printed
+            return
         if record.get("type") == "ready" and self.ready_at is None:
             self.ready_at = time.monotonic()
         self.records.append(record)
@@ -288,29 +278,13 @@ class _ChildServer:
             self.proc.wait()
 
 
-def _reply(sock, timeout: float) -> dict | None:
-    """The next message on a job's reply socket: None after ``timeout``, and
-    an empty dict once the server is gone (the socket's end of file)."""
-    import select
-
-    if not select.select([sock], [], [], timeout)[0]:
-        return None
-    message = sock.recv(4096)
-    return json.loads(message) if message else {}
-
-
-def _drain(fd: int) -> bytes:
-    """What a finished child left in a pipe, without waiting on stragglers."""
-    os.set_blocking(fd, False)
-    chunks = []
-    try:
-        while chunk := os.read(fd, 65536):
-            chunks.append(chunk)
-    except BlockingIOError:
-        pass
-    finally:
-        os.close(fd)
-    return b"".join(chunks)
+def _kill_group(pid: int | None) -> None:
+    """Kill a forked child's group (it ran setsid before it sent its pid)."""
+    if pid is not None:
+        try:
+            os.killpg(pid, signal.SIGKILL)
+        except (ProcessLookupError, PermissionError):
+            pass
 
 
 def _run_child(
@@ -325,11 +299,15 @@ def _run_child(
 ) -> tuple[str, dict | None, str]:
     """Run one instance in a supervised child forked by ``server``.
 
-    Returns (status, result record or None, detail). An ok record carries
-    the supervisor's ``timing`` of the child: ``startup_s``, ``run_s`` and
+    One ``select`` loop in the calling thread reads the child's stdout and
+    stderr while it runs, and its exit from the reply socket. Stdout lines
+    that are not protocol records are ignored. Returns (status, result
+    record or None, detail); the detail of a failure other than an error
+    record ends with the last 8 KiB of stderr. An ok record carries the
+    supervisor's ``timing`` of the child: ``startup_s``, ``run_s`` and
     ``peak_rss_mb``. A server that is gone fails the job; it never raises.
-    Once ``stop()`` is true the child is killed at the next tick, as on a
-    timeout, and the job ends ``CANCELLED``.
+    A timeout, a flood, or ``stop()`` turning true kills the child at the
+    next tick; a stopped job ends ``CANCELLED``.
     """
     child_manifest = {
         "id": entry_id,
@@ -360,70 +338,89 @@ def _run_child(
         os.close(out_w)
         os.close(err_w)
 
-    reader = _OutputReader(open(out_r, "rb"))
-    reader.start()
+    stdout = _StdoutParser()
+    stderr = bytearray()
+
+    def keep_stderr_tail(chunk: bytes) -> None:
+        stderr.extend(chunk)
+        del stderr[:-8192]  # a failure's detail keeps the last 8 KiB
+
+    pipes = {out_r: stdout.feed, err_r: keep_stderr_tail}  # the ones not at their end
     run_budget = manifest.per_instance_time * RUN_GRACE_FACTOR + RUN_GRACE_CONST
 
     status = "ok"
     detail = ""
     pid = None
     exit_info = None
-    message = None
+    reap_by = None  # set when the child is killed
     try:
         with reply:
-            try:
-                while True:
-                    message = _reply(reply, SUPERVISE_TICK)
-                    if message == {}:
-                        stage = "before the child started" if pid is None else "during the run"
-                        status, detail = "runtime_error", f"evaluation server stopped {stage}"
+            while True:
+                readable = select.select([reply, *pipes], [], [], SUPERVISE_TICK)[0]
+                for fd in readable:
+                    if fd is not reply:
+                        chunk = os.read(fd, 65536)
+                        if chunk:
+                            pipes[fd](chunk)
+                        else:
+                            del pipes[fd]  # at its end a pipe stays readable
+                if reply in readable:
+                    message = reply.recv(4096)
+                    if not message:  # the server is gone
+                        if reap_by is None:
+                            stage = "before the child started" if pid is None else "during the run"
+                            status, detail = "runtime_error", f"evaluation server stopped {stage}"
                         break
-                    if message is not None:
-                        if "pid" not in message:
-                            exit_info = message
-                            break
-                        pid = message["pid"]
-                    now = time.monotonic()
-                    if reader.ready_at is None:
-                        if now - submit_at > STARTUP_TIMEOUT:
-                            status, detail = "runtime_error", "child startup timed out"
-                            break
-                    elif now - reader.ready_at > run_budget:
-                        status, detail = "timeout", f"exceeded {run_budget:.1f}s run budget"
+                    message = json.loads(message)
+                    if "pid" not in message:
+                        exit_info = message
                         break
-                    if reader.flooded:
-                        status, detail = "invalid_output", "child flooded stdout"
+                    pid = message["pid"]
+                now = time.monotonic()
+                if reap_by is not None:
+                    # the server replies a killed child's exit once it has reaped it
+                    if now > reap_by:
                         break
-                    # only a forked child can be killed and reaped
-                    if pid is not None and stop is not None and stop():
-                        status, detail = CANCELLED, "a lower-index job failed"
-                        break
-            finally:
-                if exit_info is None and pid is not None:
-                    try:
-                        os.killpg(pid, signal.SIGKILL)
-                    except (ProcessLookupError, PermissionError):
-                        pass
-            # the server replies a killed child's exit once it has reaped it
-            deadline = time.monotonic() + REAP_TIMEOUT
-            while exit_info is None and message != {} and time.monotonic() < deadline:
-                message = _reply(reply, deadline - time.monotonic())
-                if message and "pid" not in message:
-                    exit_info = message
+                    continue
+                if stdout.ready_at is None and now - submit_at > STARTUP_TIMEOUT:
+                    status, detail = "runtime_error", "child startup timed out"
+                elif stdout.ready_at is not None and now - stdout.ready_at > run_budget:
+                    status, detail = "timeout", f"exceeded {run_budget:.1f}s run budget"
+                elif stdout.flooded:
+                    status, detail = "invalid_output", "child flooded stdout"
+                # only a forked child can be killed and reaped
+                elif pid is not None and stop is not None and stop():
+                    status, detail = CANCELLED, "a lower-index job failed"
+                if status != "ok":
+                    _kill_group(pid)
+                    reap_by = now + REAP_TIMEOUT
     finally:
         if exit_info is None:
             # the server is gone or not answering: the evaluator replaces it, and
             # the supervisors of its other live jobs kill their groups
+            _kill_group(pid)
             server.kill()
-        reader.join(timeout=5)
-        stderr_text = _drain(err_r)[-8192:].decode("utf-8", "replace")
+        # what the child left in its pipes; a grandchild that ran setsid may
+        # still hold them, so read without waiting and at most the flood limit
+        budget = MAX_CHILD_OUTPUT
+        for fd in (out_r, err_r):
+            if fd in pipes:
+                os.set_blocking(fd, False)
+                try:
+                    while budget > 0 and (chunk := os.read(fd, 65536)):
+                        budget -= len(chunk)
+                        pipes[fd](chunk)
+                except BlockingIOError:
+                    pass
+            os.close(fd)
+    stderr_text = stderr.decode("utf-8", "replace")
 
     if status != "ok":
         return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail
 
     result = None
     error_record = None
-    for record in reader.records:
+    for record in stdout.records:
         if record.get("type") == "result":
             result = record
         elif record.get("type") == "error":
@@ -432,12 +429,12 @@ def _run_child(
         return "runtime_error", None, str(error_record.get("message", ""))[:2000]
     if exit_info["returncode"] != 0:
         return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}"
-    if result is None or reader.ready_at is None:
+    if result is None or stdout.ready_at is None:
         missing = "result" if result is None else "ready"
         return "invalid_output", None, f"no {missing} record; stderr: {stderr_text}"
     timing = {
-        "startup_s": reader.ready_at - submit_at,
-        "run_s": reader.done_at - reader.ready_at,
+        "startup_s": stdout.ready_at - submit_at,
+        "run_s": stdout.done_at - stdout.ready_at,
         "peak_rss_mb": exit_info["maxrss_kb"] / 1024.0,  # ru_maxrss is in KiB on Linux
     }
     return "ok", dict(result, timing=timing), ""

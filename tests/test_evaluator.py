@@ -110,6 +110,20 @@ def sort_by_llm_1(customers, instance):
 # the seed candidate, after one line of non-protocol output at import
 CHATTY = 'print("hello from the candidate")\n' + SEED_SOURCE
 
+# the seed candidate, printing a JSON scalar on every call
+COUNTING = SEED_SOURCE.replace(
+    "    return list(selected)", "    print(len(selected))\n    return list(selected)"
+)
+
+# the seed candidate, writing 2 KB to stderr on every call: far more over a
+# run than a pipe holds
+GRUMBLING = "import sys\n" + SEED_SOURCE.replace(
+    "    return list(selected)", '    sys.stderr.write("e" * 2048)\n    return list(selected)'
+)
+
+# the seed candidate, after 200 KB to stderr at load
+LOUD_LOADER = 'import sys\nsys.stderr.write("e" * 200_000)\n' + SEED_SOURCE
+
 GARBAGE_EXIT = """\
 import os
 import sys
@@ -342,12 +356,30 @@ class TestEvaluate:
         assert report.status == "runtime_error"
         assert "best solution infeasible" in report.build_log
 
-    def test_non_protocol_output_is_ignored(self, tmp_path, train_files):
+    @pytest.mark.parametrize(
+        "source",
+        [
+            pytest.param(CHATTY, id="text"),
+            pytest.param(COUNTING, id="scalar"),
+            pytest.param(GRUMBLING, id="stderr-per-call"),
+            pytest.param(LOUD_LOADER, id="stderr-at-load"),
+        ],
+    )
+    def test_non_protocol_output_is_ignored(self, tmp_path, train_files, source):
         m = manifest_for(train_files)
-        chatty = Evaluator(tmp_path / "a", smoke_test=False).evaluate_source(CHATTY, m)
+        noisy = Evaluator(tmp_path / "a", smoke_test=False).evaluate_source(source, m)
         seed = Evaluator(tmp_path / "b", smoke_test=False).evaluate_source(SEED_SOURCE, m)
-        assert chatty.status == "ok"
-        assert [r.objective for r in chatty.per_instance] == [r.objective for r in seed.per_instance]
+        assert noisy.status == "ok", noisy.build_log[:500]
+        assert [r.objective for r in noisy.per_instance] == [r.objective for r in seed.per_instance]
+
+    def test_build_log_keeps_the_stderr_tail(self, tmp_path, train_files):
+        source = 'import sys\nsys.stderr.write("e" * 200_000)\n' + QUITTER
+        report = Evaluator(tmp_path, smoke_test=False).evaluate_source(source, manifest_for(train_files[:1]))
+        assert report.status == "runtime_error"
+        head, tail = report.build_log.split("; stderr: ", 1)
+        assert head == "exit code 1"
+        assert tail.endswith("candidate quit\n")
+        assert len(tail.encode()) == 8192  # the last 8 KiB of 200 KB
 
     def test_garbage_then_exit_is_invalid_output(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)
@@ -528,6 +560,9 @@ class TestChildServer:
 
 
 class TestChild:
+    # an unclosed file fails the test: its ResourceWarning is raised when the file is collected
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
     def test_manifest_without_memory_limit_runs_and_emits_tours(self, tmp_path, train_files, capsys):
         source = tmp_path / "seed.py"
         source.write_text(SEED_SOURCE)
@@ -793,6 +828,24 @@ class TestBatch:
         ev.close()
         assert time.monotonic() - started < 10
         assert all(_gone_within(int(pid), 5) for pid in os.listdir(pid_dir))
+
+    def test_one_thread_per_running_job(self, tmp_path, train_files):
+        pid_dir = tmp_path / "pids"
+        pid_dir.mkdir()
+        source = SMOKE_HANGER.format(pid_dir=str(pid_dir)).replace("== 12", "> 0")  # hangs everywhere
+        with Evaluator(tmp_path / "cache", workers=2, smoke_test=False) as ev:
+            ev.prefetch([(source, manifest_for(train_files, per_instance_time=30.0))])
+            deadline = time.monotonic() + 60
+            while len(os.listdir(pid_dir)) < 2:
+                assert time.monotonic() < deadline
+                time.sleep(0.05)
+            # idle pools of earlier evaluators may still be alive; they run no job
+            extra = [
+                t.name
+                for t in threading.enumerate()
+                if t is not threading.main_thread() and not t.name.startswith("routesmith-eval")
+            ]
+        assert extra == []
 
     def test_start_is_idempotent_and_only_starts_the_server(self, tmp_path, train_files):
         with Evaluator(tmp_path, smoke_test=False) as ev:
