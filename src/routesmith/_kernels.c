@@ -5,21 +5,54 @@
  * loops, the same float expressions in the same order, so that built
  * without contraction or fast-math every result is bit-identical to the
  * Python kernels. ``_kernels.py`` builds this file and compares the
- * library with the Python kernels before using it. It checks each array's
- * dtype, contiguity and shape the first time a call passes it; for a
- * solution's arena views and an instance's read-only views it then keeps
- * their addresses and geometry, and later calls that pass the same arrays
- * (still writable where written) reuse them.
+ * library with the Python kernels before using it.
+ *
+ * Each entry point takes one argument block (``rs_args``, mirrored by
+ * ``_kernels._Args``). ``_kernels.py`` checks each array's dtype,
+ * contiguity and shape the first time a call passes it; for a solution's
+ * arena views and an instance's read-only views it keeps their addresses
+ * and geometry in the block, and later calls that pass the same arrays
+ * (still writable where written) only set the tour count, the ids, k and
+ * the commits.
  *
  * Arrays are C-contiguous: nodes (rows x width, int32), lens (int32),
  * tdem (int64), tcost (float64), estart/lstart (rows x width float64, read
  * only for VRPTW), tour_of (int32), unassigned (bool), dist (m x m
- * float64), demand (int64), service/tws/twe/prize (float64), ids/order
- * (int64), commits (k x 2 int64).
+ * float64), demand (int64), service/tws/twe/prize (float64), ids (int64),
+ * commits (k x 2 int64).
+ *
+ * dist must be exactly symmetric, as ``model.Instance`` builds it
+ * (sqrt(dx*dx + dy*dy) of coordinate differences, whose squares do not
+ * depend on the sign): the slot scan reads d(prev, c) as d(c, prev) from
+ * c's own row instead of a strided column, which the Python kernels read.
  */
 
 #include <math.h>
 #include <stdint.h>
+
+typedef struct {
+    int32_t *nodes;
+    int32_t *lens;
+    int64_t *tdem;
+    double *tcost;
+    double *estart;
+    double *lstart;
+    int32_t *tour_of;
+    uint8_t *unassigned;
+    const double *dist;
+    const int64_t *demand;
+    const double *service;
+    const double *tws;
+    const double *twe;
+    const double *prize; /* NULL until a reinsertion passes it */
+    int64_t rows, width, m;
+    int64_t capacity, problem, has_tw;
+    int64_t n_tours;
+    const int64_t *ids; /* the ids to detach, or the reinsertion order */
+    int64_t k;
+    int64_t *commits;
+    double cost, recouped; /* out: travel-cost delta, recouped prize total */
+} rs_args;
 
 static void retime(const int32_t *nodes, const int32_t *lens, double *estart, double *lstart,
                    int64_t t, int64_t width, const double *dist, int64_t m,
@@ -56,15 +89,17 @@ static void retime(const int32_t *nodes, const int32_t *lens, double *estart, do
     }
 }
 
-int64_t rs_remove_ids(int32_t *nodes, int32_t *lens, int64_t *tdem, double *tcost,
-                      double *estart, double *lstart, int32_t *tour_of, uint8_t *unassigned,
-                      int64_t n_tours, int64_t width, const int64_t *ids, int64_t k,
-                      const double *dist, int64_t m, const int64_t *demand,
-                      const double *service, const double *tws, const double *twe,
-                      int64_t has_tw, double *cost_out)
+int64_t rs_remove_ids(rs_args *a)
 {
+    int32_t *nodes = a->nodes, *lens = a->lens, *tour_of = a->tour_of;
+    int64_t *tdem = a->tdem;
+    double *tcost = a->tcost, *estart = a->estart, *lstart = a->lstart;
+    uint8_t *unassigned = a->unassigned;
+    const double *dist = a->dist, *service = a->service, *tws = a->tws, *twe = a->twe;
+    const int64_t *demand = a->demand, *ids = a->ids;
+    int64_t width = a->width, m = a->m, k = a->k, has_tw = a->has_tw;
     double cost_delta = 0.0;
-    int64_t nt = n_tours;
+    int64_t nt = a->n_tours;
     for (int64_t i = 0; i < k; i++) {
         int64_t c = ids[i];
         int64_t t = tour_of[c];
@@ -119,19 +154,22 @@ int64_t rs_remove_ids(int32_t *nodes, int32_t *lens, int64_t *tdem, double *tcos
             retime(nodes, lens, estart, lstart, t, width, dist, m, service, tws, twe);
         }
     }
-    *cost_out = cost_delta;
+    a->cost = cost_delta;
     return nt;
 }
 
-int64_t rs_greedy_insert(int32_t *nodes, int32_t *lens, int64_t *tdem, double *tcost,
-                         double *estart, double *lstart, int32_t *tour_of, uint8_t *unassigned,
-                         int64_t n_tours, int64_t rows, int64_t width, const int64_t *order,
-                         int64_t k, const double *dist, int64_t m, const int64_t *demand,
-                         int64_t capacity, const double *service, const double *tws,
-                         const double *twe, const double *prize, int64_t problem,
-                         int64_t *commits, double *sums_out)
+int64_t rs_greedy_insert(rs_args *a)
 {
-    int64_t nt = n_tours;
+    int32_t *nodes = a->nodes, *lens = a->lens, *tour_of = a->tour_of;
+    int64_t *tdem = a->tdem, *commits = a->commits;
+    double *tcost = a->tcost, *estart = a->estart, *lstart = a->lstart;
+    uint8_t *unassigned = a->unassigned;
+    const double *dist = a->dist, *service = a->service, *tws = a->tws, *twe = a->twe;
+    const double *prize = a->prize;
+    const int64_t *demand = a->demand, *order = a->ids;
+    int64_t rows = a->rows, width = a->width, m = a->m, k = a->k, capacity = a->capacity;
+    int64_t problem = a->problem;
+    int64_t nt = a->n_tours;
     double cost_delta = 0.0;
     double prize_delta = 0.0;
     int has_tw = problem == 1;
@@ -158,7 +196,7 @@ int64_t rs_greedy_insert(int32_t *nodes, int32_t *lens, int64_t *tdem, double *t
                 double depart_prev = 0.0;
                 for (int64_t p = 0; p <= L; p++) {
                     int64_t nxt = p < L ? row[p] : 0;
-                    double arrive = depart_prev + dist[prevnode * m + c];
+                    double arrive = depart_prev + dc_row[prevnode];
                     double start = arrive > tws[c] ? arrive : tws[c];
                     int ok = start <= twe[c];
                     if (ok && p < L) {
@@ -166,7 +204,7 @@ int64_t rs_greedy_insert(int32_t *nodes, int32_t *lens, int64_t *tdem, double *t
                             ok = 0;
                     }
                     if (ok) {
-                        double cand = dist[prevnode * m + c] + dc_row[nxt]
+                        double cand = dc_row[prevnode] + dc_row[nxt]
                                       - dist[prevnode * m + nxt] - prz;
                         if (cand < best) {
                             best = cand;
@@ -182,7 +220,7 @@ int64_t rs_greedy_insert(int32_t *nodes, int32_t *lens, int64_t *tdem, double *t
             } else {
                 for (int64_t p = 0; p <= L; p++) {
                     int64_t nxt = p < L ? row[p] : 0;
-                    double cand = dist[prevnode * m + c] + dc_row[nxt]
+                    double cand = dc_row[prevnode] + dc_row[nxt]
                                   - dist[prevnode * m + nxt] - prz;
                     if (cand < best) {
                         best = cand;
@@ -241,7 +279,7 @@ int64_t rs_greedy_insert(int32_t *nodes, int32_t *lens, int64_t *tdem, double *t
         commits[2 * oi] = best_t;
         commits[2 * oi + 1] = best_p;
     }
-    sums_out[0] = cost_delta;
-    sums_out[1] = prize_delta;
+    a->cost = cost_delta;
+    a->recouped = prize_delta;
     return nt;
 }

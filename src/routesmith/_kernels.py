@@ -17,11 +17,12 @@ Python kernels. Otherwise the interpreted backend runs the scalar Python
 kernels themselves.
 ``BACKEND`` and ``BACKEND_REASON`` say which one runs and why. C trusts
 its arguments, so the wrappers check every array's dtype, contiguity and
-shape, and that the arrays C writes are writable, before C sees it. A
-solution's arena views and an instance's read-only views are checked once:
-a record keeps their addresses and geometry, and a later call passing the
-same array objects, still writable where written, skips the checks
-(``_state_arrays`` and ``_instance_arrays``).
+shape, and that the arrays C writes are writable, before C sees it. Each
+C entry point takes one argument block (``_Args``). A solution's arena
+views and an instance's read-only views are checked once: a record keeps
+the solution's block, and a later call passing the same array objects,
+still writable where written, sets only the tour count, the ids, k, the
+commits and the codes in it (``_block``, ``_instance_arrays``).
 
 Each piece of the greedy insertion rule has one Python home here, used by
 ``greedy_insert_scalar`` and by ``model.insertion_delta``/
@@ -391,19 +392,29 @@ def _address(name, a, dtype, shape, writes):
     return a.ctypes.data
 
 
+class _Args(ctypes.Structure):
+    """``rs_args`` of ``_kernels.c``: the argument block of a solution's calls."""
+
+    _fields_ = [(name, ctypes.c_void_p) for name in (
+        "nodes", "lens", "tdem", "tcost", "estart", "lstart", "tour_of", "unassigned",
+        "dist", "demand", "service", "tws", "twe", "prize")] + [
+        (name, ctypes.c_int64) for name in (
+            "rows", "width", "m", "capacity", "problem", "has_tw", "n_tours")] + [
+        ("ids", ctypes.c_void_p), ("k", ctypes.c_int64), ("commits", ctypes.c_void_p),
+        ("cost", ctypes.c_double), ("recouped", ctypes.c_double)]
+
+
 # Records of checked arguments. A solution's eight state arrays, and an
 # instance's read-only arrays, are checked in full the first time a call
-# passes them; if none of them owns its data (a ``Solution``'s arena views,
-# an ``Instance``'s read-only views), the record keeps weak references to
-# them, their addresses and their geometry. A later call whose arrays are
-# the recorded objects (an ``is`` test), with its output arrays still
-# writable, hands C the recorded addresses and geometry and skips the
-# dtype, shape and contiguity checks; any other call is checked in full.
-# numpy cannot resize an array that does not own its data, and C never
-# reads a view's current shape, so a recorded address holds while the
-# array lives. A record goes away with the array it is keyed on, and keeps
-# nothing alive.
-_states = {}  # id(nodes) -> (refs, (addresses, rows, width, m), timing rows full-size)
+# passes them; if none of them owns its data (arena views, an instance's
+# read-only views), a record keeps weak references to them and what the
+# check found: the state's argument block, the instance's addresses. A later
+# call passing the recorded objects (an ``is`` test), with its output arrays
+# still writable, reuses that; any other call is checked in full. numpy
+# cannot resize an array that does not own its data, and C never reads a
+# view's current shape, so a recorded address holds while the array lives.
+# A record goes away with the array it is keyed on, and keeps nothing alive.
+_states = {}  # id(nodes) -> (refs, block, rows, m, timing rows full-size)
 _inputs = {}  # id(dist) -> (refs, (addresses, m)); prize's ref is None until a reinsertion
 
 
@@ -448,44 +459,45 @@ def _instance_arrays(dist, demand, service, tws, twe, prize=None):
     return value
 
 
-def _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-                  has_tw, m):
-    """(addresses, rows, width, m) of a solution's arrays for an instance
-    of ``m`` nodes, from their record or from a full check that raises on
-    anything C cannot read or write."""
+def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours, has_tw,
+           inputs, name, ids):
+    """The argument block of a solution's arrays, for an instance whose
+    checked arrays are ``inputs`` ((addresses, m)), with the tour count
+    and the int64 ``ids`` (called ``name``) set: from their record or
+    from a full check that raises on anything C cannot read or write."""
+    m = inputs[1]
     rec = _states.get(id(nodes))
-    if rec is not None and rec[1][3] == m and (rec[2] or not has_tw):
-        r = rec[0]
-        if (r[0]() is nodes and r[1]() is lens and r[2]() is tdem and r[3]() is tcost
-                and r[4]() is estart and r[5]() is lstart and r[6]() is tour_of
-                and r[7]() is unassigned and nodes.flags.writeable and lens.flags.writeable
-                and tdem.flags.writeable and tcost.flags.writeable
-                and estart.flags.writeable and lstart.flags.writeable
-                and tour_of.flags.writeable and unassigned.flags.writeable):
-            if not 0 <= n_tours <= rec[1][1]:
-                raise InputError(f"n_tours out of range: {n_tours}")
-            return rec[1]
-    if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
-        raise InputError("nodes: need a 2-D array")
-    rows, width = nodes.shape
+    r = rec and rec[0]
+    if (r and rec[3] == m and (rec[4] or not has_tw) and r[0]() is nodes
+            and r[1]() is lens and r[2]() is tdem and r[3]() is tcost and r[4]() is estart
+            and r[5]() is lstart and r[6]() is tour_of and r[7]() is unassigned
+            and nodes.flags.writeable and lens.flags.writeable and tdem.flags.writeable
+            and tcost.flags.writeable and estart.flags.writeable and lstart.flags.writeable
+            and tour_of.flags.writeable and unassigned.flags.writeable):
+        blk, rows = rec[1], rec[2]
+    else:
+        if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
+            raise InputError("nodes: need a 2-D array")
+        rows, width = nodes.shape
+        times = (rows, width) if has_tw else None  # the timing rows are used only on VRPTW
+        state = (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned)
+        blk = _Args(*(_address(what, a, dtype, shape, True) for a, (what, dtype, shape) in zip(
+            state, (("nodes", _I32, (rows, width)), ("lens", _I32, (rows,)),
+                    ("tdem", _I64, (rows,)), ("tcost", _F64, (rows,)), ("estart", _F64, times),
+                    ("lstart", _F64, times), ("tour_of", _I32, (m,)),
+                    ("unassigned", _BOOL, (m,))))), rows=rows, width=width, m=m)
+        blk.inputs = None
+        _remember(_states, state, (blk, rows, m, estart.shape == lstart.shape == (rows, width)))
     if not 0 <= n_tours <= rows:
         raise InputError(f"n_tours out of range: {n_tours}")
-    # the timing rows are used only on VRPTW
-    times = (rows, width) if has_tw else None
-    geometry = (
-        _address("nodes", nodes, _I32, (rows, width), True),
-        _address("lens", lens, _I32, (rows,), True),
-        _address("tdem", tdem, _I64, (rows,), True),
-        _address("tcost", tcost, _F64, (rows,), True),
-        _address("estart", estart, _F64, times, True),
-        _address("lstart", lstart, _F64, times, True),
-        _address("tour_of", tour_of, _I32, (m,), True),
-        _address("unassigned", unassigned, _BOOL, (m,), True),
-    ), rows, width, m
-    timed = estart.shape == lstart.shape == (rows, width)
-    _remember(_states, (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned),
-              (geometry, timed))
-    return geometry
+    if blk.inputs is not inputs:
+        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize), _ = inputs
+        blk.inputs = inputs
+    blk.n_tours = n_tours
+    k = ids.shape[0]
+    blk.ids = _address(name, ids, _I64, (k,), False)
+    blk.k = k
+    return blk
 
 
 def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
@@ -493,31 +505,21 @@ def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, 
                      problem, commits):
     if problem not in (CVRP, VRPTW, PCVRP):
         raise InputError(f"unknown problem code: {problem}")
-    inputs, m = _instance_arrays(dist, demand, service, tws, twe, prize)
-    state, rows, width, _ = _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of,
-                                          unassigned, n_tours, problem == VRPTW, m)
-    k = order.shape[0]
-    sums = (ctypes.c_double * 2)()
-    nt = kernel(
-        *state, n_tours, rows, width, _address("order", order, _I64, (k,), False), k,
-        inputs[0], m, inputs[1], capacity, *inputs[2:], problem,
-        _address("commits", commits, _I64, (k, 2), True), sums,
-    )
-    return nt, sums[0], sums[1]
+    blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+                 problem == VRPTW, _instance_arrays(dist, demand, service, tws, twe, prize),
+                 "order", order)
+    blk.commits = _address("commits", commits, _I64, (blk.k, 2), True)
+    blk.capacity = capacity
+    blk.problem = problem
+    return kernel(blk), blk.cost, blk.recouped
 
 
 def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, ids, dist, demand, service, tws, twe, has_tw):
-    inputs, m = _instance_arrays(dist, demand, service, tws, twe)
-    state, _, width, _ = _state_arrays(nodes, lens, tdem, tcost, estart, lstart, tour_of,
-                                       unassigned, n_tours, has_tw, m)
-    k = ids.shape[0]
-    cost = ctypes.c_double()
-    nt = kernel(
-        *state, n_tours, width, _address("ids", ids, _I64, (k,), False), k, inputs[0], m,
-        *inputs[1:5], bool(has_tw), ctypes.byref(cost),
-    )
-    return nt, cost.value
+    blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
+                 has_tw, _instance_arrays(dist, demand, service, tws, twe), "ids", ids)
+    blk.has_tw = bool(has_tw)
+    return kernel(blk), blk.cost
 
 
 class _Unavailable(Exception):
@@ -617,12 +619,9 @@ def _open(path, cases):
         kernels = (lib.rs_greedy_insert, lib.rs_remove_ids)
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
-    ptr, i64, out = ctypes.c_void_p, ctypes.c_int64, ctypes.POINTER(ctypes.c_double)
-    kernels[0].argtypes = [ptr] * 8 + [i64] * 3 + [ptr, i64, ptr, i64, ptr, i64] + [ptr] * 4 \
-        + [i64, ptr, out]
-    kernels[1].argtypes = [ptr] * 8 + [i64, i64, ptr, i64, ptr, i64] + [ptr] * 4 + [i64, out]
     for kernel in kernels:
-        kernel.restype = i64
+        kernel.argtypes = [ctypes.POINTER(_Args)]
+        kernel.restype = ctypes.c_int64
     for state, ids, inst in cases:
         if _detach_and_reinsert(kernels, state, ids, inst) != _detach_and_reinsert(
                 None, state, ids, inst):

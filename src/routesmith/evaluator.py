@@ -178,9 +178,12 @@ _MAX_LINE = 16 * 1024 * 1024
 class _StdoutParser:
     """Splits a child's stdout, fed chunk by chunk, into protocol records.
 
-    More than ``MAX_CHILD_OUTPUT`` bytes, or a line longer than
+    Output past ``MAX_CHILD_OUTPUT`` bytes, or a line longer than
     ``_MAX_LINE``, is flagged as a flood instead of growing our buffers, and
     what follows is dropped. A line that is not a JSON object is ignored.
+    Each chunk is scanned once, so the records, the flood verdict and
+    whether ``ready_at``/``done_at`` are set do not depend on how the
+    stream is chunked.
     """
 
     def __init__(self):
@@ -189,18 +192,30 @@ class _StdoutParser:
         self.flooded = False
         self.ready_at: float | None = None
         self.done_at: float | None = None
-        self._buf = b""
+        self._parts: list[bytes] = []  # the pending line, in pieces
+        self._size = 0  # its length
 
     def feed(self, chunk: bytes) -> None:
+        room = MAX_CHILD_OUTPUT - self.bytes_read
         self.bytes_read += len(chunk)
-        self._buf += chunk
-        if self.flooded or self.bytes_read > MAX_CHILD_OUTPUT or len(self._buf) > _MAX_LINE:
-            self.flooded = True
-            self._buf = b""
+        if self.flooded:
             return
-        while b"\n" in self._buf:
-            line, self._buf = self._buf.split(b"\n", 1)
+        *ends, rest = chunk[:room].split(b"\n")
+        for end in ends:
+            self._size += len(end)
+            if self._size > _MAX_LINE:
+                break
+            self._parts.append(end)
+            line = b"".join(self._parts)
+            self._parts.clear()
+            self._size = 0
             self._handle(line.strip())
+        else:  # no line too long: the rest of the chunk starts the pending line
+            self._parts.append(rest)
+            self._size += len(rest)
+        if self._size > _MAX_LINE or len(chunk) > room:
+            self.flooded = True
+            self._parts.clear()
 
     def _handle(self, line: bytes) -> None:
         try:
@@ -302,10 +317,10 @@ def _run_child(
     One ``select`` loop in the calling thread reads the child's stdout and
     stderr while it runs, and its exit from the reply socket. Stdout lines
     that are not protocol records are ignored. Returns (status, result
-    record or None, detail); the detail of a failure other than an error
-    record ends with the last 8 KiB of stderr. An ok record carries the
-    supervisor's ``timing`` of the child: ``startup_s``, ``run_s`` and
-    ``peak_rss_mb``. A server that is gone fails the job; it never raises.
+    record or None, detail); the detail of a failure ends with the last
+    8 KiB of stderr, after an error record's message if there is one. An
+    ok record carries the supervisor's ``timing`` of the child:
+    ``startup_s``, ``run_s`` and ``peak_rss_mb``. A server that is gone fails the job; it never raises.
     A timeout, a flood, or ``stop()`` turning true kills the child at the
     next tick; a stopped job ends ``CANCELLED``.
     """
@@ -426,7 +441,8 @@ def _run_child(
         elif record.get("type") == "error":
             error_record = record
     if error_record is not None:
-        return "runtime_error", None, str(error_record.get("message", ""))[:2000]
+        message = str(error_record.get("message", ""))[:2000]
+        return "runtime_error", None, f"{message}; stderr: {stderr_text}" if stderr_text else message
     if exit_info["returncode"] != 0:
         return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}"
     if result is None or stdout.ready_at is None:

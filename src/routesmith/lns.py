@@ -122,14 +122,31 @@ def sanitize_removal(ids, solution: Solution) -> list[int]:
     return out
 
 
-def sanitize_order(order, removed) -> list[int]:
+def sanitize_order(order, removed) -> np.ndarray:
     """Repair to an exact permutation of ``removed``: duplicates and
-    extraneous ids dropped, missing ids appended ascending. Idempotent."""
+    extraneous ids dropped, missing ids appended ascending. Returns an
+    int64 array. Idempotent.
+
+    When ``removed`` is an ascending, duplicate-free int64 array (as
+    ``run`` passes it), a list or array that is already an int64
+    permutation of it is copied into the result without a loop.
+    """
+    if type(order) in (list, np.ndarray) and isinstance(removed, np.ndarray):
+        try:
+            arr = np.array(order)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if (arr is not None and arr.dtype == np.int64 and arr.ndim == 1
+                and arr.shape == removed.shape):
+            ranked = arr.copy()
+            ranked.sort()
+            # equal bytes: ``removed`` holds these int64 values, ascending
+            if (ranked.tobytes() == removed.tobytes()
+                    and not np.count_nonzero(ranked[1:] <= ranked[:-1])):
+                return arr
     target = set(removed) if plain_ints(removed) else set(int(c) for c in removed)
     if plain_ints(order):
         # the loop below on a list of ints: first occurrences of targets
-        if len(order) == len(target) and set(order) == target:
-            return order.copy()
         out = list(filter(target.__contains__, dict.fromkeys(order)))
     else:
         try:
@@ -150,24 +167,28 @@ def sanitize_order(order, removed) -> list[int]:
                 out.append(c)
     if len(out) != len(target):
         out.extend(sorted(target.difference(out)))
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -> Solution:
     """Reinsert customers one by one at their locally optimal position.
 
     ``order`` must be a permutation of the partial solution's unassigned
-    set. Every position of every tour plus the open-new-tour option is
-    evaluated; the minimum finite delta wins, ties broken by (lower tour
-    index, lower position). PCVRP customers are committed only when their
-    prize-adjusted delta is strictly negative.
+    set; a 1-D int64 array is used as it is. Every position of every tour
+    plus the open-new-tour option is evaluated; the minimum finite delta
+    wins, ties broken by (lower tour index, lower position). PCVRP
+    customers are committed only when their prize-adjusted delta is
+    strictly negative.
 
     When ``commits_out`` is given it receives one (customer, tour, position)
     tuple per order entry as decided at commit time, with (-1, -1) for
     customers left unassigned.
     """
     inst = partial.instance
-    order_arr = np.asarray(list(order), dtype=np.int64)
+    if isinstance(order, np.ndarray) and order.dtype == np.int64 and order.ndim == 1:
+        order_arr = np.ascontiguousarray(order)
+    else:
+        order_arr = np.asarray(list(order), dtype=np.int64)
     if not _is_permutation(order_arr, partial._unassigned):
         raise OperatorProtocolError("order is not a permutation of the unassigned set")
     if order_arr.size == 0:
@@ -205,19 +226,10 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
 
 
 def _is_permutation(ids: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether ``ids`` lists every index set in ``mask`` exactly once: as
-    many ids as set entries, all in range, hitting that many set entries."""
-    k = ids.size
-    if k != np.count_nonzero(mask):
-        return False
-    if k == 0:
-        return True
-    if ids.min() < 0 or ids.max() >= mask.size:
-        return False
-    hit = np.zeros_like(mask)
-    hit[ids] = True
-    hit &= mask
-    return np.count_nonzero(hit) == k
+    """Whether the int64 ``ids`` list every index set in ``mask`` exactly once."""
+    ranked = ids.copy()
+    ranked.sort()
+    return ranked.tobytes() == mask.nonzero()[0].astype(np.int64, copy=False).tobytes()
 
 
 def sa_temperature(t_initial: float, t_final: float, fraction: float) -> float:
@@ -330,9 +342,9 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
             ids = sanitize_removal(raw_ids, candidate)
             if ids:
                 remove_customers(candidate, ids)
-            removed = np.flatnonzero(candidate._unassigned).tolist()
-            if removed:
-                raw_order = ops.order(instance, list(removed), candidate, rng)
+            removed = candidate._unassigned.nonzero()[0]
+            if removed.size:
+                raw_order = ops.order(instance, removed.tolist(), candidate, rng)
                 order = sanitize_order(raw_order, removed)
                 greedy_reinsert(candidate, order)
         except Exception as exc:  # operator crash or protocol violation

@@ -74,7 +74,9 @@ class Instance:
 
     Distances are full-precision Euclidean values computed once into a
     dense matrix; adjacency[i] lists all other nodes sorted ascending by
-    distance from i (stable on ties).
+    distance from i (stable on ties). The matrix is exactly symmetric:
+    d(i, j) and d(j, i) square the same coordinate differences up to sign.
+    The compiled insertion scan relies on this (``_kernels.c``).
     """
 
     __slots__ = (
@@ -553,10 +555,10 @@ def remove_customers(solution: Solution, ids) -> Solution:
     hole, so tour indices are stable except for that swap).
     """
     inst = solution.instance
-    todo = [c for c in _coerce_ids(ids, inst.num_customers) if solution._tour_of[c] >= 0]
-    if not todo:
+    arr = np.array(_coerce_ids(ids, inst.num_customers), dtype=np.int64)
+    arr = arr[solution._tour_of[arr] >= 0]
+    if not arr.size:
         return solution
-    arr = np.asarray(todo, dtype=np.int64)
     nt, cost_delta = _kernels.remove_ids(
         solution._nodes,
         solution._lens,
@@ -577,7 +579,9 @@ def remove_customers(solution: Solution, ids) -> Solution:
     )
     solution.n_tours = int(nt)
     solution._total_cost += float(cost_delta)
-    solution._prize_penalty += float(inst.prize[arr].sum())
+    if inst.problem is Problem.PCVRP:
+        # elsewhere every prize is 0 and the penalty stays +0.0
+        solution._prize_penalty += float(inst.prize[arr].sum())
     return solution
 
 

@@ -5,8 +5,11 @@ import os
 import signal
 import threading
 import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routesmith import evalchild, evaluator
 from routesmith.candidates import SEED_SOURCE
@@ -327,6 +330,20 @@ class TestEvaluate:
         assert report.status == "runtime_error"
         assert "deliberate crash" in report.build_log
 
+    def test_crashing_candidate_keeps_its_stderr_tail(self, tmp_path, train_files):
+        """A candidate that explains itself on stderr and then raises: the
+        error record's message, then the last 8 KiB of stderr."""
+        source = "import sys\n\n" + CRASHING.replace(
+            "    raise", '    sys.stderr.write("e" * 200_000 + "diagnostic before the crash\\n")\n'
+            "    raise")
+        report = Evaluator(tmp_path, smoke_test=False).evaluate_source(
+            source, manifest_for(train_files[:1]))
+        assert report.status == "runtime_error"
+        head, tail = report.build_log.split("; stderr: ", 1)
+        assert head == "RuntimeError: deliberate crash"
+        assert tail.endswith("diagnostic before the crash\n")
+        assert len(tail.encode()) == 8192
+
     def test_sleeper_times_out_within_grace(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)
         started = time.monotonic()
@@ -579,6 +596,61 @@ class TestChild:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert [r["type"] for r in records] == ["ready", "result"]
         assert records[1]["tours"]
+
+
+def parse(chunks):
+    """What a ``_StdoutParser`` makes of ``chunks``: the records, whether
+    ``ready_at`` and ``done_at`` are set, and the flood verdict."""
+    parser = evaluator._StdoutParser()
+    for chunk in chunks:
+        parser.feed(chunk)
+    return parser.records, parser.ready_at is not None, parser.done_at is not None, parser.flooded
+
+
+stdout_line = st.one_of(
+    st.sampled_from([b'{"type": "ready"}', b' {"type": "result", "objective": 1.5}\r',
+                     b'{"type": "error", "message": "x"}', b'{"type": "progress"}', b"42",
+                     b'"text"', b"hello", b""]),
+    st.binary(max_size=30).filter(lambda b: b"\n" not in b),
+    st.integers(0, 200).map(lambda n: b"x" * n),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(stdout_line, max_size=12), st.booleans(),
+       st.sampled_from([(60, 10**6), (10**6, 300), (80, 250), (10**6, 10**6)]), st.data())
+def test_stdout_parser_ignores_how_the_stream_is_chunked(lines, newline_at_end, limits, data):
+    """Random chunkings of one stream, against one feed of all of it; the
+    limits are scaled down so that long lines and floods occur."""
+    stream = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=10)))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if a < b]
+    line_limit, out_limit = limits
+    with mock.patch.object(evaluator, "_MAX_LINE", line_limit), \
+            mock.patch.object(evaluator, "MAX_CHILD_OUTPUT", out_limit):
+        whole = parse([stream] if stream else [])
+        assert parse(chunks) == whole
+    kept = stream[:out_limit]
+    assert whole[3] == (len(stream) > out_limit
+                        or any(len(line) > line_limit for line in kept.split(b"\n")))
+
+
+def test_stdout_parser_trips_on_a_long_line_in_linear_time():
+    """Chunks of 64 KiB without a newline: a line of exactly ``_MAX_LINE``
+    bytes is kept, one byte more is a flood. Each chunk is scanned once: a
+    parser that rescanned the pending line on every chunk took 1.25 s of
+    CPU for this on a 2-vCPU Xeon."""
+    chunk = b"x" * 65536
+    parser = evaluator._StdoutParser()
+    started = time.process_time()
+    for _ in range(evaluator._MAX_LINE // len(chunk)):
+        parser.feed(chunk)
+    assert not parser.flooded
+    parser.feed(b"x")
+    assert parser.flooded
+    assert time.process_time() - started < 0.5
+    parser.feed(b'\n{"type": "ready"}\n')
+    assert parser.records == [] and parser.ready_at is None
 
 
 class TestRevalidation:

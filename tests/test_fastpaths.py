@@ -1,12 +1,15 @@
 """Parity of the array fast paths with the loops they replace.
 
 The sanitizers and ``remove_customers``' id check take a fast path on
-lists of plain ints, ``sort_by_key``
+lists of plain ints, and ``sanitize_order`` keeps an int64 order that is
+already a permutation of an ascending ``removed`` array. ``sort_by_key``
 sorts with ``np.lexsort``, ``string_remove`` walks only the served
-neighbours of its seed and ``greedy_reinsert`` checks its order by count
-and mask. Each must return exactly what the loop kept here as a reference
-returns (the same values, all of type ``int``), raise where it raises, and
-draw the same random numbers.
+neighbours of its seed, ``remove_customers`` drops unassigned ids with one
+mask and ``greedy_reinsert`` checks its order with one sort. Each must
+return exactly what the loop kept here as a reference returns (the same
+values, all of type ``int``, or an int64 array of them from
+``sanitize_order``), leave the same state, raise where it raises, and draw
+the same random numbers.
 """
 
 import numpy as np
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routesmith import _kernels
 from routesmith.errors import InputError, OperatorProtocolError
 from routesmith.instances import GenParams, generate
 from routesmith.lns import greedy_reinsert, initial_solution, sanitize_order, sanitize_removal
@@ -104,6 +108,31 @@ def same(a, b):
     return a == b and all(type(c) is int for c in a + b)
 
 
+def same_ids(arr, b):
+    """``arr`` is a 1-D int64 array holding the exact ints of list ``b``."""
+    return (isinstance(arr, np.ndarray) and arr.dtype == np.int64 and arr.ndim == 1
+            and same(arr.tolist(), b))
+
+
+def reference_remove(solution, ids):
+    """``remove_customers`` as a per-id loop: deduplicate, range-check,
+    keep the assigned ids, detach them and add their prizes."""
+    inst = solution.instance
+    todo = [c for c in reference_coerce(ids, inst.num_customers) if solution._tour_of[c] >= 0]
+    if not todo:
+        return solution
+    arr = np.asarray(todo, dtype=np.int64)
+    nt, cost_delta = _kernels.remove_ids(
+        solution._nodes, solution._lens, solution._tdem, solution._tcost, solution._estart,
+        solution._lstart, solution._tour_of, solution._unassigned, solution.n_tours, arr,
+        inst.dist, inst.demand, inst.service, inst.tw_start, inst.tw_end,
+        inst.problem is Problem.VRPTW)
+    solution.n_tours = int(nt)
+    solution._total_cost += float(cost_delta)
+    solution._prize_penalty += float(inst.prize[arr].sum())
+    return solution
+
+
 N = 24
 ids_in_range = st.integers(-3, N + 3)
 # everything int() turns into an id, or refuses
@@ -119,9 +148,9 @@ id_lists = st.one_of(st.lists(ids_in_range, max_size=40), st.lists(mixed_item, m
                      st.permutations(list(range(-3, N + 4))))
 
 
-def partial_solution(seed, removed_share):
+def partial_solution(seed, removed_share, problem=Problem.CVRP):
     """An n=24 solution of a few tours with a share of customers detached."""
-    inst = generate(GenParams(n=N, seed=seed % 5, capacity=30))
+    inst = generate(GenParams(problem=problem, n=N, seed=seed % 5, capacity=30))
     sol = initial_solution(inst)
     rng = make_rng(seed)
     everyone = list(range(1, N + 1))
@@ -164,8 +193,48 @@ def test_coerce_ids_matches_its_loop(ids):
                                     max_size=15)))
 def test_sanitize_order_matches_its_loop(order, removed):
     out = sanitize_order(order, removed)
-    assert same(out, reference_order(order, removed))
-    assert sanitize_order(out, removed) == out
+    assert same_ids(out, reference_order(order, removed))
+    assert sanitize_order(out, removed).tolist() == out.tolist()
+
+
+# how an ordering operator might hand back an exact permutation
+RESHAPES = (
+    lambda o: o,
+    lambda o: np.array(o, dtype=np.int64),
+    lambda o: [np.int64(c) for c in o],
+    lambda o: [float(c) for c in o],
+    lambda o: [c == 1 if c in (0, 1) else c for c in o],
+    lambda o: o + [2**70],
+    lambda o: o[:1] + [[c] for c in o[1:]],
+    lambda o: [o],
+    lambda o: np.array(o, dtype=np.int32),
+    lambda o: np.array(o + o, dtype=np.int64)[::2],
+)
+
+
+@st.composite
+def orders_of_removed_arrays(draw):
+    """An int64 ``removed`` (ascending and distinct, as ``lns.run`` passes
+    it, or unsorted with duplicates) and an order: anything, or a
+    permutation of ``removed`` in one of the shapes above."""
+    removed = draw(st.one_of(st.sets(st.integers(1, N), max_size=15).map(sorted),
+                             st.lists(st.integers(-3, N + 3), max_size=15)))
+    order = draw(st.one_of(
+        id_lists,
+        st.lists(st.one_of(mixed_item, st.lists(ids_in_range, max_size=2)), max_size=20),
+        st.tuples(st.permutations(removed), st.sampled_from(RESHAPES)).map(
+            lambda pair: pair[1](list(pair[0]))),
+    ))
+    return order, np.array(removed, dtype=np.int64)
+
+
+@settings(max_examples=400, deadline=None)
+@given(orders_of_removed_arrays())
+def test_sanitize_order_matches_its_loop_on_removed_arrays(case):
+    order, removed = case
+    out = sanitize_order(order, removed)
+    assert same_ids(out, reference_order(order, removed))
+    assert sanitize_order(out, removed).tolist() == out.tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -174,7 +243,37 @@ def test_sanitize_order_keeps_an_exact_permutation(order, cut):
     """The shortcut for an order that is already exact, and its near misses."""
     removed = sorted(order)
     for candidate in (order, order[:cut], order + order[:cut], order[:cut] + [99]):
-        assert same(sanitize_order(candidate, removed), reference_order(candidate, removed))
+        expected = reference_order(candidate, removed)
+        assert same_ids(sanitize_order(candidate, removed), expected)
+        assert same_ids(sanitize_order(candidate, np.array(removed)), expected)
+        assert same_ids(sanitize_order(np.array(candidate), np.array(removed)), expected)
+
+
+def state_bytes(sol):
+    """Everything a detach may write, exactly (the sign of 0.0 included)."""
+    return (sol._arena.tobytes(), sol.n_tours, sol._total_cost.hex(),
+            sol._prize_penalty.hex(), str(sol._prize_penalty))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(id_lists, st.lists(st.integers(1, N), max_size=40)), st.integers(0, 50),
+       st.sampled_from((0.0, 0.3, 0.9)), st.sampled_from(list(Problem)))
+def test_remove_customers_matches_its_loop(ids, seed, share, problem):
+    """Duplicates, unassigned and out-of-range ids: the same state bytes,
+    or the same error."""
+    sol = partial_solution(seed, share, problem)
+    mine, ref = sol.clone(), sol.clone()
+    try:
+        remove_customers(mine, ids)
+        got = state_bytes(mine)
+    except Exception as exc:
+        got = type(exc), str(exc)
+    try:
+        reference_remove(ref, ids)
+        expected = state_bytes(ref)
+    except Exception as exc:
+        expected = type(exc), str(exc)
+    assert got == expected
 
 
 def tie_instance(seed):
@@ -214,10 +313,13 @@ def test_reinsert_refuses_every_non_permutation(gen):
     remove_customers(sol, [2, 4])
     # -3 and -5 would index customers 4 and 2 from the end
     for order in ([2, 2], [4, 4], [0, 2], [2, 7], [2, -3], [-5, 4], [2], [2, 4, 4], [6, 2],
-                  [2, 4, 2**40]):
+                  [2, 4, 2**40], []):
+        for given_as in (list, lambda o: np.array(o, dtype=np.int64)):
+            with pytest.raises(OperatorProtocolError, match="permutation"):
+                greedy_reinsert(sol.clone(), given_as(order))
+    for order in ([3], np.array([3], dtype=np.int64)):
         with pytest.raises(OperatorProtocolError, match="permutation"):
-            greedy_reinsert(sol.clone(), order)
-    with pytest.raises(OperatorProtocolError, match="permutation"):
-        greedy_reinsert(Solution.from_tours(inst, [list(range(1, 7))]), [3])
-    for order in ([2, 4], [4, 2], np.array([4, 2])):
+            greedy_reinsert(Solution.from_tours(inst, [list(range(1, 7))]), order)
+    for order in ([2, 4], [4, 2], np.array([4, 2]), np.array([4, 9, 2, 9], dtype=np.int64)[::2],
+                  np.array([2, 4], dtype=np.int32)):
         assert greedy_reinsert(sol.clone(), order).num_unassigned == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routesmith.errors import ConfigError, InstanceFormatError
 from routesmith.instances import (
@@ -13,7 +15,7 @@ from routesmith.instances import (
     verify_manifest,
 )
 from routesmith.lns import initial_solution
-from routesmith.model import Problem, Solution
+from routesmith.model import Instance, Problem, Solution
 
 
 class TestGenerate:
@@ -167,3 +169,22 @@ def test_eval_seed_stability():
     assert len(set(seeds)) == 5
     # appending instances never reshuffles earlier seeds
     assert [eval_seed_for(42, i) for i in range(3)] == seeds[:3]
+
+
+coordinate = st.one_of(st.floats(-1e6, 1e6, allow_nan=False),
+                       st.integers(-8, 8).map(lambda k: k / 4), st.sampled_from([0.0, -0.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(coordinate, coordinate), min_size=2, max_size=12),
+       st.lists(st.integers(0, 11), max_size=4))
+def test_distances_are_exactly_symmetric(tmp_path_factory, points, repeats):
+    """d(i, j) and d(j, i) have the same bits, duplicate points included,
+    also after a save/load round trip. The compiled slot scan relies on it:
+    it reads d(prev, c) from c's own row."""
+    points = points + [points[i % len(points)] for i in repeats]
+    m = len(points)
+    inst = Instance(Problem.CVRP, points, [0] + [1] * (m - 1), capacity=1)
+    assert inst.dist.tobytes() == inst.dist.T.copy().tobytes()
+    loaded = load(save(inst, tmp_path_factory.mktemp("sym") / "inst.txt"))
+    assert loaded.dist.tobytes() == inst.dist.tobytes()

@@ -92,6 +92,19 @@ def test_compiled_kernels_run_wherever_there_is_a_compiler():
     assert _kernels.BACKEND == "c", _kernels.BACKEND_REASON
 
 
+def test_kernel_source_builds_without_warnings(tmp_path):
+    """``_kernels.c`` compiles clean under strict warnings with the build's
+    own flags, implicit narrowing and sign conversions included."""
+    cc = shutil.which(_kernels.COMPILER)
+    if cc is None:
+        pytest.skip(f"no C compiler {_kernels.COMPILER!r}")
+    done = subprocess.run(
+        [cc, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Wconversion", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), str(_kernels._SOURCE)],
+        capture_output=True, text=True, timeout=120, check=False)
+    assert done.returncode == 0, done.stderr
+
+
 def keep_backend(monkeypatch):
     """Restore the selected backend when the test ends; until then,
     ``lns.warm_kernels`` selects again."""
@@ -222,6 +235,33 @@ def test_compiled_kernels_refuse_arrays_they_cannot_read():
     s = sol.clone()
     with pytest.raises(InputError, match="tour_of: the array is read-only"):
         remove_direct(s, ids, _tour_of=s.customer_to_tour)
+
+
+def test_recorded_block_follows_the_instance_of_each_call():
+    """One solution's recorded argument block, called with the arrays of
+    two instances of one size in turn: every detach and reinsertion
+    writes what the scalar kernels write."""
+    needs_c()
+    sol, _ = make_case(Problem.PCVRP, 12, 4, False, False, 1, 3)
+    other, _ = make_case(Problem.PCVRP, 12, 5, False, False, 1, 3)
+    mine, ref = sol.clone(), sol.clone()
+    rng = np.random.default_rng(0)
+    for inst in (sol.instance, other.instance, sol.instance, other.instance):
+        ids = rng.permutation(mine.assigned_ids())
+        order = rng.permutation(np.arange(1, 13))  # every customer is detached first
+        outs = []
+        for s, remove, insert in ((mine, _kernels.remove_ids, _kernels.greedy_insert),
+                                  (ref, _kernels.remove_ids_scalar,
+                                   _kernels.greedy_insert_scalar)):
+            arrays = [getattr(s, name) for name in STATE]
+            nt, cost = remove(*arrays, s.n_tours, ids, inst.dist, inst.demand, inst.service,
+                              inst.tw_start, inst.tw_end, False)
+            commits = np.empty((order.size, 2), dtype=np.int64)
+            s.n_tours, *sums = insert(*arrays, nt, order, inst.dist, inst.demand,
+                                      inst.capacity, inst.service, inst.tw_start, inst.tw_end,
+                                      inst.prize, inst.problem.code, commits)
+            outs.append(([a.tobytes() for a in arrays + [commits]], cost, sums, s.n_tours))
+        assert outs[0] == outs[1]
 
 
 def test_kernel_records_die_with_their_arrays():
