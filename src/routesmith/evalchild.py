@@ -3,7 +3,8 @@
 Invocation contract: ``python -m routesmith.evalchild <manifest.json>``.
 The manifest names the instance file, seed, limits, and the candidate
 source path. An optional ``memory_limit`` (bytes) caps the child's own
-address space before any candidate code loads. Protocol records are emitted as JSON lines on stdout:
+address space before any candidate code loads. Protocol records go to fd 1
+as JSON, one ``os.write`` each:
 
     {"type": "ready"}                         after import and kernel warm-up
     {"type": "result", "id": ..., "objective": ..., "feasible": ...,
@@ -16,14 +17,16 @@ The evaluator does not start this module once per instance. It starts one
 warm server, ``python -m routesmith.evalchild --serve <fd>``, which imports
 numpy and the package, loads the compiled kernels and then forks one child
 per job. The server never loads candidate code. A job arrives on the
-control socket ``fd`` as one message: the manifest path, with the write
-ends of the child's stdout and stderr pipes and a per-job reply socket
-attached. The child starts a new session, moves the pipes onto fds 1 and 2,
-sends its pid on the reply socket, closes every descriptor above 2 and runs
-``main`` on the manifest. When the child has exited, the server kills what
-is left of its process group and replies its exit code and peak RSS. At the
-end of its control input (the evaluator closed it or died) the server kills
-every live job's process group and exits.
+control socket ``fd`` as one message: the manifest as JSON, with the
+child's record socket (SOCK_SEQPACKET, so each record is one message), the
+write end of its stderr pipe and a per-job reply socket attached. The child
+starts a new session, moves the record socket and the pipe onto fds 1 and
+2, points ``sys.stdout`` at stderr so that a candidate's ``print`` lands in
+the stderr pipe, sends its pid on the reply socket, closes every descriptor
+above 2 and runs ``run`` on the manifest. When the child has exited, the
+server kills what is left of its process group and replies its exit code
+and peak RSS. At the end of its control input (the evaluator closed it or
+died) the server kills every live job's process group and exits.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from pathlib import Path
 
 
 def _emit(record: dict) -> None:
-    sys.stdout.write(json.dumps(record) + "\n")
-    sys.stdout.flush()
+    # one write: one message on the evaluator's record socket, one line on a pipe
+    os.write(1, (json.dumps(record) + "\n").encode())
 
 
 def main(argv=None) -> int:
@@ -45,7 +48,11 @@ def main(argv=None) -> int:
     if len(argv) != 1:
         print("usage: python -m routesmith.evalchild <manifest.json>", file=sys.stderr)
         return 2
-    manifest = json.loads(Path(argv[0]).read_text())
+    return run(json.loads(Path(argv[0]).read_text()))
+
+
+def run(manifest: dict) -> int:
+    """Run the manifest's instance with its candidate and emit the records."""
     if manifest.get("memory_limit") is not None:
         import resource
 
@@ -108,10 +115,11 @@ def _exit_code(exc: SystemExit) -> int:
     return 1
 
 
-def _job(manifest_path: str, out_w: int, err_w: int, reply: int) -> None:
-    """The forked child: become a fresh session, then run ``main``.
+def _job(message: bytes, out_w: int, err_w: int, reply: int) -> None:
+    """The forked child: become a fresh session, then ``run`` the manifest
+    JSON in ``message``.
 
-    Never returns: whatever ``main`` or the candidate raises, the child ends
+    Never returns: whatever ``run`` or the candidate raises, the child ends
     in ``os._exit`` with an int status and never reaches the server loop.
     """
     code = 1
@@ -125,8 +133,9 @@ def _job(manifest_path: str, out_w: int, err_w: int, reply: int) -> None:
         signal.signal(signal.SIGINT, signal.default_int_handler)
         os.dup2(out_w, 1)
         os.dup2(err_w, 2)
+        sys.stdout = sys.stderr  # fd 1 carries records only
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        code = main([manifest_path])
+        code = run(json.loads(message))
     except SystemExit as exc:
         code = _exit_code(exc)
     except BaseException:
@@ -205,13 +214,14 @@ def serve(control_fd: int) -> int:
                 _reap(live)
             if control not in readable:
                 continue
-            message, fds, _, _ = socket.recv_fds(control, 4096, 3)
+            # room for a manifest with two PATH_MAX paths, even JSON-escaped
+            message, fds, _, _ = socket.recv_fds(control, 1 << 16, 3)
             if not message:
                 return 0
             out_w, err_w, reply = fds
             pid = os.fork()
             if pid == 0:
-                _job(os.fsdecode(message), out_w, err_w, reply)
+                _job(message, out_w, err_w, reply)
             os.close(out_w)
             os.close(err_w)
             live[pid] = reply

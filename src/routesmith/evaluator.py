@@ -7,11 +7,12 @@ without waiting): every job of every candidate (a preflight smoke run on one
 tiny instance, and one run per training instance) goes to the evaluator's
 one pool of ``workers`` supervised child processes, smoke runs first, so the
 smoke run runs beside the training runs instead of ahead of them. Each child
-executes the full LNS loop with the candidate operators and emits
-line-delimited JSON records on stdout. The supervisor reads its stdout and
-stderr while it runs and ignores stdout lines that are not protocol records;
-a failure's report (other than the candidate's own exception) keeps the last
-8 KiB of stderr. Children fork from a warm server that the ``Evaluator``
+executes the full LNS loop with the candidate operators and sends its JSON
+protocol records on fd 1, a SOCK_SEQPACKET socket, so the kernel frames each
+record as one message; the candidate's ``print`` goes to stderr. The
+supervisor reads the records and stderr while the child runs and ignores a
+message that is not a JSON object; a failure's report keeps the last 8 KiB
+of stderr. Children fork from a warm server that the ``Evaluator``
 starts on its first evaluation, or at ``start`` (``python -m
 routesmith.evalchild --serve``): it has numpy, the package and the compiled
 kernels loaded and never runs candidate code itself, and each child starts a
@@ -22,26 +23,25 @@ limits, rebuilds and re-validates the returned tours with the core validator
 (a result without tours is invalid), and maps every failure mode to a report
 status. A crashing or resource-hogging candidate can only ever take down its
 own child process; one that stops the server fails its own evaluation, and
-the jobs of other candidates that were on that server run again, alone.
+the jobs of other candidates that were on that server run again, each on a
+server of its own.
 ``Evaluator.close`` (or leaving its ``with`` block) stops the server; so
 does collecting the evaluator or the end of the process.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import select
-import shutil
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import weakref
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -60,7 +60,12 @@ DISQUALIFIED = math.inf
 RUN_GRACE_FACTOR = 1.1
 RUN_GRACE_CONST = 1.0
 STARTUP_TIMEOUT = 120.0
+# the child's record and stderr bytes together
 MAX_CHILD_OUTPUT = 64 * 1024 * 1024
+# a receive buffer above the default AF_UNIX send limit (net.core.wmem_default,
+# 208 KiB), so every record a child can send fits; a larger one arrives
+# truncated, is not JSON, and is ignored
+_MAX_RECORD = 1 << 20
 # how often the supervisor checks a running child's budget and output; the
 # child's exit wakes it at once
 SUPERVISE_TICK = 0.05
@@ -89,17 +94,7 @@ class EvalManifest:
             raise ValueError("limits must be positive")
 
     def digest(self) -> str:
-        payload = json.dumps(
-            [
-                list(self.instance_paths),
-                list(self.seeds),
-                self.per_instance_time,
-                self.per_instance_iterations,
-                self.memory_limit_bytes,
-            ],
-            sort_keys=True,
-        )
-        return sha256_hex(payload)
+        return sha256_hex(json.dumps(dataclasses.astuple(self), sort_keys=True))
 
 
 @dataclass
@@ -172,72 +167,14 @@ def fitness_from_report(report: EvalReport, line_count: int, lam: float) -> floa
     return sum(objectives) / len(objectives) + lam * line_count
 
 
-_MAX_LINE = 16 * 1024 * 1024
-
-
-class _StdoutParser:
-    """Splits a child's stdout, fed chunk by chunk, into protocol records.
-
-    Output past ``MAX_CHILD_OUTPUT`` bytes, or a line longer than
-    ``_MAX_LINE``, is flagged as a flood instead of growing our buffers, and
-    what follows is dropped. A line that is not a JSON object is ignored.
-    Each chunk is scanned once, so the records, the flood verdict and
-    whether ``ready_at``/``done_at`` are set do not depend on how the
-    stream is chunked.
-    """
-
-    def __init__(self):
-        self.records: list[dict] = []
-        self.bytes_read = 0
-        self.flooded = False
-        self.ready_at: float | None = None
-        self.done_at: float | None = None
-        self._parts: list[bytes] = []  # the pending line, in pieces
-        self._size = 0  # its length
-
-    def feed(self, chunk: bytes) -> None:
-        room = MAX_CHILD_OUTPUT - self.bytes_read
-        self.bytes_read += len(chunk)
-        if self.flooded:
-            return
-        *ends, rest = chunk[:room].split(b"\n")
-        for end in ends:
-            self._size += len(end)
-            if self._size > _MAX_LINE:
-                break
-            self._parts.append(end)
-            line = b"".join(self._parts)
-            self._parts.clear()
-            self._size = 0
-            self._handle(line.strip())
-        else:  # no line too long: the rest of the chunk starts the pending line
-            self._parts.append(rest)
-            self._size += len(rest)
-        if self._size > _MAX_LINE or len(chunk) > room:
-            self.flooded = True
-            self._parts.clear()
-
-    def _handle(self, line: bytes) -> None:
-        try:
-            record = json.loads(line)
-        except ValueError:
-            return
-        if not isinstance(record, dict):  # a bare number or string a candidate printed
-            return
-        if record.get("type") == "ready" and self.ready_at is None:
-            self.ready_at = time.monotonic()
-        self.records.append(record)
-        if record.get("type") in ("result", "error"):
-            self.done_at = time.monotonic()
-
-
 class _ChildServer:
     """The warm ``evalchild --serve`` process that forks evaluation children.
 
     Jobs go to it over one SOCK_SEQPACKET control socket, one message each:
-    the manifest path, with the write ends of the child's stdout and stderr
-    pipes and the server's end of a per-job reply socket attached. Closing
-    the control socket ends the server, which kills its live jobs first.
+    the child's manifest as JSON, with the child's ends of its record socket
+    and stderr pipe and the server's end of a per-job reply socket attached.
+    Closing the control socket ends the server, which kills its live jobs
+    first.
     ``tenants`` holds the artifact digests of the candidates it ran jobs for.
     """
 
@@ -262,14 +199,14 @@ class _ChildServer:
         finally:
             theirs.close()
 
-    def submit(self, manifest_path: Path, out_w: int, err_w: int):
+    def submit(self, child_manifest: dict, out_w: int, err_w: int):
         """Start one child; returns the supervisor's end of its reply socket."""
         import socket
 
         ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
         try:
             socket.send_fds(
-                self._control, [os.fsencode(manifest_path)], [out_w, err_w, theirs.fileno()]
+                self._control, [json.dumps(child_manifest).encode()], [out_w, err_w, theirs.fileno()]
             )
         except BaseException:
             ours.close()
@@ -309,21 +246,24 @@ def _run_child(
     instance_path: str,
     seed: int,
     manifest: EvalManifest,
-    workdir: Path,
     stop=None,
 ) -> tuple[str, dict | None, str]:
     """Run one instance in a supervised child forked by ``server``.
 
-    One ``select`` loop in the calling thread reads the child's stdout and
-    stderr while it runs, and its exit from the reply socket. Stdout lines
-    that are not protocol records are ignored. Returns (status, result
-    record or None, detail); the detail of a failure ends with the last
-    8 KiB of stderr, after an error record's message if there is one. An
-    ok record carries the supervisor's ``timing`` of the child:
-    ``startup_s``, ``run_s`` and ``peak_rss_mb``. A server that is gone fails the job; it never raises.
-    A timeout, a flood, or ``stop()`` turning true kills the child at the
-    next tick; a stopped job ends ``CANCELLED``.
+    One ``select`` loop in the calling thread reads the child's records (one
+    message each on its SOCK_SEQPACKET fd 1) and stderr while it runs, and
+    its exit from the reply socket. A message that is not a JSON object is
+    ignored. Returns (status, result record or None, detail); the detail of
+    a failure ends with the last 8 KiB of stderr, after an error record's
+    message if there is one. An ok record carries the supervisor's
+    ``timing`` of the child: ``startup_s``, ``run_s`` and ``peak_rss_mb``.
+    A server that is gone fails the job; it never raises. A timeout, more
+    than ``MAX_CHILD_OUTPUT`` bytes of records and stderr, or ``stop()``
+    turning true kills the child at the next tick; a stopped job ends
+    ``CANCELLED``.
     """
+    import socket
+
     child_manifest = {
         "id": entry_id,
         "instance": str(instance_path),
@@ -333,16 +273,13 @@ def _run_child(
         "iteration_limit": manifest.per_instance_iterations,
         "memory_limit": manifest.memory_limit_bytes,
     }
-    manifest_path = workdir / f"{entry_id}.json"
-    manifest_path.write_text(json.dumps(child_manifest))
-
-    out_r, out_w = os.pipe()
+    out, out_w = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
     err_r, err_w = os.pipe()
     submit_at = time.monotonic()
     try:
-        reply = server.submit(manifest_path, out_w, err_w)
+        reply = server.submit(child_manifest, out_w.fileno(), err_w)
     except BaseException as exc:
-        os.close(out_r)
+        out.close()
         os.close(err_r)
         if not isinstance(exc, OSError):
             raise
@@ -350,17 +287,37 @@ def _run_child(
         server.kill()
         return "runtime_error", None, f"evaluation server stopped: {exc}"
     finally:
-        os.close(out_w)
+        out_w.close()
         os.close(err_w)
 
-    stdout = _StdoutParser()
+    output = 0  # record and stderr bytes read
     stderr = bytearray()
+    ready_at = done_at = result = error_record = None
 
-    def keep_stderr_tail(chunk: bytes) -> None:
-        stderr.extend(chunk)
-        del stderr[:-8192]  # a failure's detail keeps the last 8 KiB
+    def read(source) -> bool:
+        """Take one record or stderr chunk; False at the end of ``source``."""
+        nonlocal output, ready_at, done_at, result, error_record
+        if source is out:
+            message = out.recv(_MAX_RECORD)
+            try:
+                record = json.loads(message)
+            except (ValueError, RecursionError):
+                record = None
+            kind = record.get("type") if isinstance(record, dict) else None
+            if kind == "ready" and ready_at is None:
+                ready_at = time.monotonic()
+            elif kind == "result":
+                result, done_at = record, time.monotonic()
+            elif kind == "error":
+                error_record, done_at = record, time.monotonic()
+        else:
+            message = os.read(err_r, 65536)
+            stderr.extend(message)
+            del stderr[:-8192]  # a failure's detail keeps the last 8 KiB
+        output += len(message)
+        return bool(message)
 
-    pipes = {out_r: stdout.feed, err_r: keep_stderr_tail}  # the ones not at their end
+    watched = [out, err_r]  # the ones not at their end
     run_budget = manifest.per_instance_time * RUN_GRACE_FACTOR + RUN_GRACE_CONST
 
     status = "ok"
@@ -371,14 +328,10 @@ def _run_child(
     try:
         with reply:
             while True:
-                readable = select.select([reply, *pipes], [], [], SUPERVISE_TICK)[0]
-                for fd in readable:
-                    if fd is not reply:
-                        chunk = os.read(fd, 65536)
-                        if chunk:
-                            pipes[fd](chunk)
-                        else:
-                            del pipes[fd]  # at its end a pipe stays readable
+                readable = select.select([reply, *watched], [], [], SUPERVISE_TICK)[0]
+                for source in readable:
+                    if source is not reply and not read(source):
+                        watched.remove(source)  # at its end it stays readable
                 if reply in readable:
                     message = reply.recv(4096)
                     if not message:  # the server is gone
@@ -397,12 +350,12 @@ def _run_child(
                     if now > reap_by:
                         break
                     continue
-                if stdout.ready_at is None and now - submit_at > STARTUP_TIMEOUT:
+                if ready_at is None and now - submit_at > STARTUP_TIMEOUT:
                     status, detail = "runtime_error", "child startup timed out"
-                elif stdout.ready_at is not None and now - stdout.ready_at > run_budget:
+                elif ready_at is not None and now - ready_at > run_budget:
                     status, detail = "timeout", f"exceeded {run_budget:.1f}s run budget"
-                elif stdout.flooded:
-                    status, detail = "invalid_output", "child flooded stdout"
+                elif output > MAX_CHILD_OUTPUT:
+                    status, detail = "invalid_output", "child flooded its output"
                 # only a forked child can be killed and reaped
                 elif pid is not None and stop is not None and stop():
                     status, detail = CANCELLED, "a lower-index job failed"
@@ -415,42 +368,34 @@ def _run_child(
             # the supervisors of its other live jobs kill their groups
             _kill_group(pid)
             server.kill()
-        # what the child left in its pipes; a grandchild that ran setsid may
-        # still hold them, so read without waiting and at most the flood limit
-        budget = MAX_CHILD_OUTPUT
-        for fd in (out_r, err_r):
-            if fd in pipes:
-                os.set_blocking(fd, False)
-                try:
-                    while budget > 0 and (chunk := os.read(fd, 65536)):
-                        budget -= len(chunk)
-                        pipes[fd](chunk)
-                except BlockingIOError:
+        # what the child left queued, the result too; a grandchild that ran
+        # setsid may still hold its ends, so read without waiting and only up
+        # to the flood limit
+        out.setblocking(False)
+        os.set_blocking(err_r, False)
+        for source in watched:
+            try:
+                while output <= MAX_CHILD_OUTPUT and read(source):
                     pass
-            os.close(fd)
+            except BlockingIOError:
+                pass
+        out.close()
+        os.close(err_r)
     stderr_text = stderr.decode("utf-8", "replace")
 
     if status != "ok":
         return status, None, f"{detail}; stderr: {stderr_text}" if stderr_text else detail
-
-    result = None
-    error_record = None
-    for record in stdout.records:
-        if record.get("type") == "result":
-            result = record
-        elif record.get("type") == "error":
-            error_record = record
     if error_record is not None:
         message = str(error_record.get("message", ""))[:2000]
         return "runtime_error", None, f"{message}; stderr: {stderr_text}" if stderr_text else message
     if exit_info["returncode"] != 0:
         return "runtime_error", None, f"exit code {exit_info['returncode']}; stderr: {stderr_text}"
-    if result is None or stdout.ready_at is None:
+    if result is None or ready_at is None:
         missing = "result" if result is None else "ready"
         return "invalid_output", None, f"no {missing} record; stderr: {stderr_text}"
     timing = {
-        "startup_s": stdout.ready_at - submit_at,
-        "run_s": stdout.done_at - stdout.ready_at,
+        "startup_s": ready_at - submit_at,
+        "run_s": done_at - ready_at,
         "peak_rss_mb": exit_info["maxrss_kb"] / 1024.0,  # ru_maxrss is in KiB on Linux
     }
     return "ok", dict(result, timing=timing), ""
@@ -462,7 +407,7 @@ class _Candidate:
     ``first_failure`` is the lowest index of a job that failed so far. A job
     above it is dropped before it starts, or killed at its supervisor's next
     tick; lower jobs run on, as one of them may still fail and decide the
-    report. The job manifests live in ``workdir``, removed with the last job.
+    report.
     """
 
     def __init__(self, artifact: BuildArtifact, manifest: EvalManifest, smoke: bool):
@@ -475,7 +420,6 @@ class _Candidate:
         self._left = len(manifest.instance_paths) + smoke
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self.workdir = Path(tempfile.mkdtemp(prefix="routesmith-eval-")) if self._left else None
         if not self._left:
             self._done.set()
 
@@ -491,7 +435,6 @@ class _Candidate:
                     self.first_failure = min(self.first_failure, index)
             self._left -= 1
             if not self._left:
-                shutil.rmtree(self.workdir, ignore_errors=True)
                 self._done.set()
 
     def stop(self) -> None:
@@ -517,37 +460,6 @@ class _Candidate:
         return EvalReport(status="ok", per_instance=per_instance)
 
 
-class _JobGate:
-    """Lets jobs run side by side, or one job run alone.
-
-    A job waiting to run alone holds back the jobs that have not started
-    yet, and starts once the running ones have ended.
-    """
-
-    def __init__(self):
-        self._cond = threading.Condition()
-        self._running = 0  # -1 while a job runs alone
-        self._waiting_alone = 0
-
-    @contextmanager
-    def hold(self, alone: bool):
-        with self._cond:
-            if alone:
-                self._waiting_alone += 1
-                self._cond.wait_for(lambda: self._running == 0)
-                self._waiting_alone -= 1
-                self._running = -1
-            else:
-                self._cond.wait_for(lambda: self._running >= 0 and not self._waiting_alone)
-                self._running += 1
-        try:
-            yield
-        finally:
-            with self._cond:
-                self._running = 0 if alone else self._running - 1
-                self._cond.notify_all()
-
-
 class Evaluator:
     """Scores candidate sources by supervised execution over instances.
 
@@ -560,7 +472,7 @@ class Evaluator:
     first failure stops its later jobs. A candidate's child can stop the
     server that forked it, and with it the jobs of other candidates: a job
     whose server ended after it ran jobs of more than one candidate runs
-    again alone, where the outcome is its own. Reports are cached by (source
+    again on a server of its own, where the outcome is its own. Reports are cached by (source
     digest, manifest digest): with fixed per-instance seeds and an iteration
     budget they are deterministic, and each equals the report of a serial
     run. The evaluator is driven from one thread at a time. Use it as a
@@ -580,7 +492,6 @@ class Evaluator:
         # candidates whose jobs are queued or running, by report-cache key
         self._in_flight: dict[tuple[str, str], _Candidate] = {}
         self._pool = None  # the job pool, made by the first job
-        self._gate = _JobGate()
         # started by the first child or by start(), so an evaluator that never
         # evaluates costs nothing
         self._server: _ChildServer | None = None
@@ -697,6 +608,9 @@ class Evaluator:
         return _Candidate(artifact, manifest, smoke=verdict is None)
 
     def _run_job(self, cand: _Candidate, index: int) -> None:
+        def stopped() -> bool:
+            return cand.first_failure < index
+
         try:
             if index < 0:
                 manifest, entry_id = self._smoke(), "smoke"
@@ -704,22 +618,24 @@ class Evaluator:
             else:
                 manifest, entry_id = cand.manifest, f"inst-{index:03d}"
                 path, seed = manifest.instance_paths[index], manifest.seeds[index]
-            for alone in (False, True):
-                with self._gate.hold(alone):
-                    if cand.first_failure < index:
-                        cand.record(index)  # dropped: a lower-index job failed
-                        return
-                    server = self._child_server()
-                    server.tenants.add(cand.artifact.digest)
-                    status, record, detail = _run_child(
-                        server, cand.artifact, entry_id, path, seed, manifest,
-                        cand.workdir, stop=lambda: cand.first_failure < index,
-                    )
-                # any candidate with a job on a server that ended may have
-                # stopped it; unless that is this one alone, the job runs
-                # again alone, where the outcome is its own
-                if server.proc.poll() is None or server.tenants == {cand.artifact.digest}:
-                    break
+            if stopped():
+                cand.record(index)  # dropped: a lower-index job failed
+                return
+            server = self._child_server()
+            server.tenants.add(cand.artifact.digest)
+            run = (cand.artifact, entry_id, path, seed, manifest, stopped)
+            status, record, detail = _run_child(server, *run)
+            # any candidate with a job on a server that ended may have stopped
+            # it; unless that is this one alone, the outcome is not the job's own
+            if server.proc.poll() is not None and server.tenants != {cand.artifact.digest}:
+                if stopped():
+                    cand.record(index)  # dropped: a lower-index job failed
+                    return
+                own = _ChildServer()  # the job runs again where nothing else runs
+                try:
+                    status, record, detail = _run_child(own, *run)
+                finally:
+                    own.close()
             if status == "ok":
                 status, result = self._revalidate(entry_id, record, path)
                 if status == "ok":

@@ -416,7 +416,7 @@ class Solution:
 
     def assigned_ids(self) -> np.ndarray:
         """Ids currently assigned to some tour, ascending."""
-        return np.flatnonzero(self._tour_of[1:] >= 0).astype(np.int64) + 1
+        return (self._tour_of[1:] >= 0).nonzero()[0].astype(np.int64, copy=False) + 1
 
     def position_of(self, customer: int) -> tuple[int, int]:
         """(tour index, position) of an assigned customer."""

@@ -5,11 +5,8 @@ import os
 import signal
 import threading
 import time
-from unittest import mock
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from routesmith import evalchild, evaluator
 from routesmith.candidates import SEED_SOURCE
@@ -127,6 +124,13 @@ GRUMBLING = "import sys\n" + SEED_SOURCE.replace(
 # the seed candidate, after 200 KB to stderr at load
 LOUD_LOADER = 'import sys\nsys.stderr.write("e" * 200_000)\n' + SEED_SOURCE
 
+# the seed candidate, after a message on fd 1 that is not JSON
+RAW_TEXT = 'import os\nos.write(1, b"not json")\n' + SEED_SOURCE
+
+# the seed candidate, after a message on fd 1 nested deeper than the JSON
+# decoder recurses
+DEEP_JSON = 'import os\nos.write(1, b"[" * 100_000)\n' + SEED_SOURCE
+
 GARBAGE_EXIT = """\
 import os
 import sys
@@ -149,6 +153,20 @@ import sys
 def select_by_llm_1(sol):
     while True:
         sys.stdout.write("x" * 65536)
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
+# floods the record socket itself, which print no longer reaches
+RAW_FLOODER = """\
+import os
+
+
+def select_by_llm_1(sol):
+    while True:
+        os.write(1, b"x" * 65536)
 
 
 def sort_by_llm_1(customers, instance):
@@ -270,6 +288,14 @@ def _gone_within(pid: int, seconds: float) -> bool:
     return True
 
 
+class TestManifest:
+    def test_digest_is_pinned(self):
+        """The digest keys the report cache: a change orphans every cached report."""
+        m = EvalManifest(instance_paths=("a/inst-1.txt", "b/inst-2.txt"), seeds=(3, 7),
+                         per_instance_time=2.5, per_instance_iterations=150, memory_limit_bytes=1024**3)
+        assert m.digest() == "417934bf0ccad2c6e5a13062d08e4821b0bab1d7fc57164cfa507b4ad62af48d"
+
+
 class TestBuild:
     def test_seed_source_builds_ok(self, tmp_path):
         artifact = build(SEED_SOURCE, tmp_path)
@@ -330,6 +356,13 @@ class TestEvaluate:
         assert report.status == "runtime_error"
         assert "deliberate crash" in report.build_log
 
+    def test_printed_diagnostic_reaches_the_build_log(self, tmp_path, train_files):
+        source = CRASHING.replace("    raise", '    print("diagnostic before the crash")\n    raise')
+        report = Evaluator(tmp_path, smoke_test=False).evaluate_source(
+            source, manifest_for(train_files[:1]))
+        assert report.status == "runtime_error"
+        assert report.build_log == "RuntimeError: deliberate crash; stderr: diagnostic before the crash\n"
+
     def test_crashing_candidate_keeps_its_stderr_tail(self, tmp_path, train_files):
         """A candidate that explains itself on stderr and then raises: the
         error record's message, then the last 8 KiB of stderr."""
@@ -380,6 +413,8 @@ class TestEvaluate:
             pytest.param(COUNTING, id="scalar"),
             pytest.param(GRUMBLING, id="stderr-per-call"),
             pytest.param(LOUD_LOADER, id="stderr-at-load"),
+            pytest.param(RAW_TEXT, id="non-json-on-fd1"),
+            pytest.param(DEEP_JSON, id="deep-json-on-fd1"),
         ],
     )
     def test_non_protocol_output_is_ignored(self, tmp_path, train_files, source):
@@ -411,10 +446,13 @@ class TestEvaluate:
         )
         assert report.status == "runtime_error"
 
-    def test_stdout_flood_is_contained(self, tmp_path, train_files):
+    @pytest.mark.parametrize(
+        "source", [pytest.param(FLOODER, id="print"), pytest.param(RAW_FLOODER, id="raw-fd1")]
+    )
+    def test_stdout_flood_is_contained(self, tmp_path, train_files, source):
         ev = Evaluator(tmp_path, smoke_test=False)
         started = time.monotonic()
-        report = ev.evaluate_source(FLOODER, manifest_for(train_files[:1]))
+        report = ev.evaluate_source(source, manifest_for(train_files[:1]))
         assert report.status == "invalid_output"
         assert "flood" in report.build_log
         assert time.monotonic() - started < 60
@@ -580,7 +618,7 @@ class TestChild:
     # an unclosed file fails the test: its ResourceWarning is raised when the file is collected
     @pytest.mark.filterwarnings("error::ResourceWarning")
     @pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
-    def test_manifest_without_memory_limit_runs_and_emits_tours(self, tmp_path, train_files, capsys):
+    def test_manifest_without_memory_limit_runs_and_emits_tours(self, tmp_path, train_files, capfd):
         source = tmp_path / "seed.py"
         source.write_text(SEED_SOURCE)
         manifest = tmp_path / "manifest.json"
@@ -593,64 +631,9 @@ class TestChild:
             "iteration_limit": 3,
         }))
         assert evalchild.main([str(manifest)]) == 0
-        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        records = [json.loads(line) for line in capfd.readouterr().out.splitlines()]
         assert [r["type"] for r in records] == ["ready", "result"]
         assert records[1]["tours"]
-
-
-def parse(chunks):
-    """What a ``_StdoutParser`` makes of ``chunks``: the records, whether
-    ``ready_at`` and ``done_at`` are set, and the flood verdict."""
-    parser = evaluator._StdoutParser()
-    for chunk in chunks:
-        parser.feed(chunk)
-    return parser.records, parser.ready_at is not None, parser.done_at is not None, parser.flooded
-
-
-stdout_line = st.one_of(
-    st.sampled_from([b'{"type": "ready"}', b' {"type": "result", "objective": 1.5}\r',
-                     b'{"type": "error", "message": "x"}', b'{"type": "progress"}', b"42",
-                     b'"text"', b"hello", b""]),
-    st.binary(max_size=30).filter(lambda b: b"\n" not in b),
-    st.integers(0, 200).map(lambda n: b"x" * n),
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.lists(stdout_line, max_size=12), st.booleans(),
-       st.sampled_from([(60, 10**6), (10**6, 300), (80, 250), (10**6, 10**6)]), st.data())
-def test_stdout_parser_ignores_how_the_stream_is_chunked(lines, newline_at_end, limits, data):
-    """Random chunkings of one stream, against one feed of all of it; the
-    limits are scaled down so that long lines and floods occur."""
-    stream = b"\n".join(lines) + (b"\n" if newline_at_end else b"")
-    cuts = sorted(data.draw(st.lists(st.integers(0, len(stream)), max_size=10)))
-    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if a < b]
-    line_limit, out_limit = limits
-    with mock.patch.object(evaluator, "_MAX_LINE", line_limit), \
-            mock.patch.object(evaluator, "MAX_CHILD_OUTPUT", out_limit):
-        whole = parse([stream] if stream else [])
-        assert parse(chunks) == whole
-    kept = stream[:out_limit]
-    assert whole[3] == (len(stream) > out_limit
-                        or any(len(line) > line_limit for line in kept.split(b"\n")))
-
-
-def test_stdout_parser_trips_on_a_long_line_in_linear_time():
-    """Chunks of 64 KiB without a newline: a line of exactly ``_MAX_LINE``
-    bytes is kept, one byte more is a flood. Each chunk is scanned once: a
-    parser that rescanned the pending line on every chunk took 1.25 s of
-    CPU for this on a 2-vCPU Xeon."""
-    chunk = b"x" * 65536
-    parser = evaluator._StdoutParser()
-    started = time.process_time()
-    for _ in range(evaluator._MAX_LINE // len(chunk)):
-        parser.feed(chunk)
-    assert not parser.flooded
-    parser.feed(b"x")
-    assert parser.flooded
-    assert time.process_time() - started < 0.5
-    parser.feed(b'\n{"type": "ready"}\n')
-    assert parser.records == [] and parser.ready_at is None
 
 
 class TestRevalidation:
@@ -820,39 +803,6 @@ class TestBatch:
         assert killer.build_log.startswith("preflight smoke failed:")
         assert _summary(seed) == _summary(alone)
         assert validated.ok
-
-    def test_job_gate_runs_an_alone_job_by_itself(self):
-        import sys
-        from concurrent.futures import ThreadPoolExecutor
-
-        gate, lock = evaluator._JobGate(), threading.Lock()
-        inside = {"shared": 0, "alone": 0}
-        clashes, peak = [], [0]
-
-        def job(k):
-            alone = k % 9 == 0
-            kind = "alone" if alone else "shared"
-            with gate.hold(alone):
-                with lock:
-                    inside[kind] += 1
-                    peak[0] = max(peak[0], inside["shared"])
-                    if inside["alone"] > 1 or (inside["alone"] and inside["shared"]):
-                        clashes.append(k)
-                time.sleep(0.0005)
-                with lock:
-                    inside[kind] -= 1
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so a lost update shows
-        try:
-            with ThreadPoolExecutor(8) as pool:
-                for call in [pool.submit(job, k) for k in range(400)]:
-                    call.result(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert clashes == []
-        assert peak[0] > 1  # the shared jobs did run side by side
-        assert inside == {"shared": 0, "alone": 0}
 
     def test_duplicate_sources_in_a_batch_run_once(self, tmp_path, train_files, children):
         m = manifest_for(train_files)
