@@ -115,9 +115,9 @@ def remove_ids_scalar(
 ):
     """Detach customers from their tours; empty tours are swap-deleted.
 
-    Returns (new tour count, travel-cost delta); the caller adds the
-    detached customers' prizes to the prize penalty, so ``ids`` must be
-    deduplicated and currently assigned.
+    Returns (new tour count, travel-cost delta). An id that is unassigned
+    at its turn (a repeat included) is skipped. The caller adds the
+    detached customers' prizes to the prize penalty.
     """
     cost_delta = 0.0
     nt = n_tours

@@ -66,6 +66,9 @@ MAX_CHILD_OUTPUT = 64 * 1024 * 1024
 # 208 KiB), so every record a child can send fits; a larger one arrives
 # truncated, is not JSON, and is ignored
 _MAX_RECORD = 1 << 20
+# what a record costs against MAX_CHILD_OUTPUT at least, so that a flood of
+# tiny messages trips the cap too
+_RECORD_CHARGE = 1024
 # how often the supervisor checks a running child's budget and output; the
 # child's exit wakes it at once
 SUPERVISE_TICK = 0.05
@@ -258,10 +261,12 @@ def _run_child(
     message if there is one. An ok record carries the supervisor's
     ``timing`` of the child: ``startup_s``, ``run_s`` and ``peak_rss_mb``.
     A server that is gone fails the job; it never raises. A timeout, more
-    than ``MAX_CHILD_OUTPUT`` bytes of records and stderr, or ``stop()``
-    turning true kills the child at the next tick; a stopped job ends
-    ``CANCELLED``.
+    than ``MAX_CHILD_OUTPUT`` bytes of records and stderr (a record counts
+    at least ``_RECORD_CHARGE``), or ``stop()`` turning true kills the child
+    at the next tick; a stopped job ends ``CANCELLED``. Each wake-up takes
+    everything queued, so a flood of tiny records costs few ``select`` rounds.
     """
+    import mmap
     import socket
 
     child_manifest = {
@@ -290,32 +295,53 @@ def _run_child(
         out_w.close()
         os.close(err_w)
 
-    output = 0  # record and stderr bytes read
+    output = 0  # record and stderr bytes read, a record at least _RECORD_CHARGE
     stderr = bytearray()
     ready_at = done_at = result = error_record = None
+    # every record is received into it; a page of it takes memory only once
+    # a record is written there, unlike a zero-filled bytearray
+    buffer = mmap.mmap(-1, _MAX_RECORD)
+    out.setblocking(False)
+    os.set_blocking(err_r, False)
+
+    def take(message) -> None:
+        """Note a record: ``ready``, ``result`` or ``error``."""
+        nonlocal ready_at, done_at, result, error_record
+        try:
+            record = json.loads(message)
+        except (ValueError, RecursionError):
+            return
+        kind = record.get("type") if isinstance(record, dict) else None
+        if kind == "ready" and ready_at is None:
+            ready_at = time.monotonic()
+        elif kind == "result":
+            result, done_at = record, time.monotonic()
+        elif kind == "error":
+            error_record, done_at = record, time.monotonic()
 
     def read(source) -> bool:
-        """Take one record or stderr chunk; False at the end of ``source``."""
-        nonlocal output, ready_at, done_at, result, error_record
-        if source is out:
-            message = out.recv(_MAX_RECORD)
-            try:
-                record = json.loads(message)
-            except (ValueError, RecursionError):
-                record = None
-            kind = record.get("type") if isinstance(record, dict) else None
-            if kind == "ready" and ready_at is None:
-                ready_at = time.monotonic()
-            elif kind == "result":
-                result, done_at = record, time.monotonic()
-            elif kind == "error":
-                error_record, done_at = record, time.monotonic()
-        else:
-            message = os.read(err_r, 65536)
-            stderr.extend(message)
-            del stderr[:-8192]  # a failure's detail keeps the last 8 KiB
-        output += len(message)
-        return bool(message)
+        """Take everything queued on ``source`` without waiting, up to the
+        flood limit: every record, or stderr chunks. False once nothing more
+        is taken from it: at its end, or past the flood limit."""
+        nonlocal output
+        try:
+            while output <= MAX_CHILD_OUTPUT:
+                if source is out:
+                    size = out.recv_into(buffer)
+                    if not size:
+                        return False
+                    output += max(size, _RECORD_CHARGE)
+                    take(buffer[:size])
+                else:
+                    chunk = os.read(err_r, 65536)
+                    if not chunk:
+                        return False
+                    output += len(chunk)
+                    stderr.extend(chunk)
+                    del stderr[:-8192]  # a failure's detail keeps the last 8 KiB
+        except BlockingIOError:
+            return True
+        return False
 
     watched = [out, err_r]  # the ones not at their end
     run_budget = manifest.per_instance_time * RUN_GRACE_FACTOR + RUN_GRACE_CONST
@@ -331,7 +357,7 @@ def _run_child(
                 readable = select.select([reply, *watched], [], [], SUPERVISE_TICK)[0]
                 for source in readable:
                     if source is not reply and not read(source):
-                        watched.remove(source)  # at its end it stays readable
+                        watched.remove(source)  # else it stays readable
                 if reply in readable:
                     message = reply.recv(4096)
                     if not message:  # the server is gone
@@ -371,16 +397,11 @@ def _run_child(
         # what the child left queued, the result too; a grandchild that ran
         # setsid may still hold its ends, so read without waiting and only up
         # to the flood limit
-        out.setblocking(False)
-        os.set_blocking(err_r, False)
         for source in watched:
-            try:
-                while output <= MAX_CHILD_OUTPUT and read(source):
-                    pass
-            except BlockingIOError:
-                pass
+            read(source)
         out.close()
         os.close(err_r)
+        buffer.close()
     stderr_text = stderr.decode("utf-8", "replace")
 
     if status != "ok":

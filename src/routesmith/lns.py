@@ -76,29 +76,50 @@ def initial_solution(instance: Instance) -> Solution:
     Feasible by construction: demands respect capacity and a direct drive
     reaches each VRPTW customer within its window (waiting if early);
     otherwise the instance itself is unservable and an error is raised.
+
+    The rows are written as arrays, with the float expressions of
+    ``Solution.from_tours([[1], [2], ...])``, whose arena bytes, tour count
+    and objective terms they equal.
     """
-    if instance.problem is Problem.VRPTW:
-        d0 = instance.dist[0, 1:]
-        start = np.maximum(d0, instance.tw_start[1:])
+    n = instance.num_customers
+    dist = instance.dist
+    arrive = 0.0 + dist[0, 1:]
+    vrptw = instance.problem is Problem.VRPTW
+    if vrptw:
+        # _kernels.retime of a singleton: arrive if arrive > tws else tws
+        tws = instance.tw_start[1:]
+        start = np.where(arrive > tws, arrive, tws)
         late = start > instance.tw_end[1:]
         if late.any():
             bad = int(np.flatnonzero(late)[0]) + 1
             raise InstanceError(
                 f"customer {bad} unreachable within its window even directly"
             )
-    return Solution.from_tours(
-        instance, [[c] for c in range(1, instance.num_customers + 1)]
-    )
+    sol = Solution(instance)
+    customers = np.arange(1, n + 1)
+    sol._nodes[:, 0] = customers
+    sol._lens[:] = 1
+    sol._tdem[:] = instance.demand[1:]
+    # _kernels.row_cost of a singleton: (0.0 + d(0, c)) + d(c, 0)
+    sol._tcost[:] = arrive + dist[1:, 0]
+    if vrptw:
+        sol._estart[:, 0] = start
+        sol._lstart[:, 0] = instance.tw_end[1:]
+    sol._tour_of[1:] = customers - 1
+    sol.n_tours = n
+    sol._total_cost = float(sol._tcost[:n].sum())  # the prize penalty stays +0.0
+    return sol
 
 
 def sanitize_removal(ids, solution: Solution) -> list[int]:
     """Dedupe, drop invalid/unassigned ids, cap at ceil(n/2). Idempotent."""
     n = solution.instance.num_customers
     cap = (n + 1) // 2
+    # indexing a memoryview gives a Python int, not a numpy scalar
+    tour_of = memoryview(solution._tour_of)
     if plain_ints(ids):
         # the loop below on a list of ints: first occurrences of in-range,
         # assigned ids, capped
-        tour_of = solution._tour_of
         return [c for c in dict.fromkeys(ids) if 0 < c <= n and tour_of[c] >= 0][:cap]
     try:
         iterator = iter(ids)
@@ -113,7 +134,7 @@ def sanitize_removal(ids, solution: Solution) -> list[int]:
             c = int(raw)
         except (TypeError, ValueError):
             continue
-        if c < 1 or c > n or c in seen or solution._tour_of[c] < 0:
+        if c < 1 or c > n or c in seen or tour_of[c] < 0:
             continue
         seen.add(c)
         out.append(c)
@@ -308,11 +329,14 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
     stats = RunStats()
     started = time.perf_counter()
 
-    current = initial_solution(instance)
-    best = current.clone()
-    # the run reuses three solutions: each candidate is cloned into the
-    # spare, and an accepted candidate's predecessor becomes the spare
-    spare = Solution(instance)
+    current = best = initial_solution(instance)
+    # the run reuses three solutions. Nothing writes the current solution
+    # while it is current, so the best one is pinned, not copied: an
+    # improving candidate becomes current and best at once. Each candidate
+    # is cloned into the spare, which is whichever of the three is neither
+    # current nor best.
+    pool = (current, Solution(instance), Solution(instance))
+    spare = pool[1]
     stats.best_objective = best.total_objective
     if config.record_trace:
         stats.best_objective_trace.append((0.0, stats.best_objective))
@@ -365,15 +389,16 @@ def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]
                     stats.status = "operator_failure"
                     stats.error = f"accepted solution infeasible: {report.violations[0]}"
                     break
-            spare, current = current, chosen
+            current = chosen
             if current.total_objective < stats.best_objective - OBJECTIVE_EPS:
-                current.clone(into=best)
+                best = current
                 stats.best_objective = best.total_objective
                 stats.improved_count += 1
                 if config.record_trace:
                     stats.best_objective_trace.append(
                         (time.perf_counter() - started, stats.best_objective)
                     )
+            spare = next(s for s in pool if s is not current and s is not best)
 
     stats.elapsed_seconds = time.perf_counter() - started
     if config.record_trace:

@@ -31,6 +31,10 @@ or past ``_lens[t]`` of a live row: not the kernels (both backends), not
 stale bytes there, and ``Solution.clone(into=...)`` copies only the first
 ``n_tours`` rows of the tour-row arrays, plus the whole vector prefix.
 A fresh ``clone()`` copies the whole arena.
+
+The depot. ``_tour_of[0]`` is -1 and ``_unassigned[0]`` is False in every
+solution: each writer (``from_tours``, the kernels, ``insert_customer``)
+writes only ids it has checked to lie in 1..n.
 """
 
 from __future__ import annotations
@@ -415,8 +419,10 @@ class Solution:
         return self._nodes[t, : self._lens[t]].tolist()
 
     def assigned_ids(self) -> np.ndarray:
-        """Ids currently assigned to some tour, ascending."""
-        return (self._tour_of[1:] >= 0).nonzero()[0].astype(np.int64, copy=False) + 1
+        """Ids currently assigned to some tour, ascending, as an int64 array
+        (numpy's index type on 64-bit platforms). The depot's ``_tour_of``
+        entry is always -1, so the scan may start at index 0."""
+        return (self._tour_of >= 0).nonzero()[0]
 
     def position_of(self, customer: int) -> tuple[int, int]:
         """(tour index, position) of an assigned customer."""
@@ -556,9 +562,13 @@ def remove_customers(solution: Solution, ids) -> Solution:
     """
     inst = solution.instance
     arr = np.array(_coerce_ids(ids, inst.num_customers), dtype=np.int64)
-    arr = arr[solution._tour_of[arr] >= 0]
     if not arr.size:
         return solution
+    pcvrp = inst.problem is Problem.PCVRP
+    if pcvrp:
+        # the prizes of the ids detached here; the kernel itself skips an
+        # unassigned id, so elsewhere no filter is needed
+        detached = arr[solution._tour_of[arr] >= 0]
     nt, cost_delta = _kernels.remove_ids(
         solution._nodes,
         solution._lens,
@@ -579,9 +589,9 @@ def remove_customers(solution: Solution, ids) -> Solution:
     )
     solution.n_tours = int(nt)
     solution._total_cost += float(cost_delta)
-    if inst.problem is Problem.PCVRP:
+    if pcvrp:
         # elsewhere every prize is 0 and the penalty stays +0.0
-        solution._prize_penalty += float(inst.prize[arr].sum())
+        solution._prize_penalty += float(inst.prize[detached].sum())
     return solution
 
 

@@ -33,8 +33,8 @@ def seed_random_remove(instance: Instance, solution: Solution, rng) -> list[int]
         return []
     k = int(rng.integers(10, 21))
     k = min(k, assigned.size)
-    picked = rng.choice(assigned, size=k, replace=False)
-    return picked.tolist()
+    # the draws, values and dtype of rng.choice(assigned, size=k, replace=False)
+    return assigned[rng.choice(assigned.size, size=k, replace=False)].tolist()
 
 
 def seed_random_order(instance: Instance, ids, solution: Solution, rng) -> list[int]:
@@ -42,6 +42,10 @@ def seed_random_order(instance: Instance, ids, solution: Solution, rng) -> list[
     out = [int(c) for c in ids]
     rng.shuffle(out)
     return out
+
+
+# nodes of the first block of string removal's walk, the seed included
+_FIRST_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -74,22 +78,30 @@ def string_remove(
 
     removed: list[int] = []
     hit_tours: set[int] = set()
-    # the seed, then its neighbours nearest first; unassigned ones (and the
-    # depot) never start a string, so the walk passes over them in one step
-    walk = np.concatenate(([seed], instance.adjacency[seed]))
-    tours = solution._tour_of[walk]
-    served = tours >= 0
-    for c, t in zip(walk[served].tolist(), tours[served].tolist()):
-        if len(hit_tours) >= params.max_strings or len(removed) >= target:
-            break
-        if c == 0 or t in hit_tours:
-            continue
-        tour = solution.tour_customers(t)
-        length = int(rng.integers(1, min(params.max_string_len, len(tour)) + 1))
-        pos = tour.index(c)
-        lo = max(0, min(pos - int(rng.integers(length)), len(tour) - length))
-        removed.extend(tour[lo : lo + length])
-        hit_tours.add(t)
+    if params.max_strings < 1:  # the walk stops before the seed
+        return removed
+    # the seed, then its neighbours nearest first; unassigned ones (the
+    # depot too) never start a string, so the walk passes over them in one step.
+    # Most walks stop within a few nodes, so a short first block is read
+    # before the rest, which comes at once (a late PCVRP walk reads it all).
+    neighbours = instance.adjacency[seed]
+    blocks = (np.concatenate(([seed], neighbours[: _FIRST_BLOCK - 1])),
+              neighbours[_FIRST_BLOCK - 1 :])
+    for walk in blocks:
+        tours = solution._tour_of[walk]
+        served = tours >= 0
+        for c, t in zip(walk[served].tolist(), tours[served].tolist()):
+            if t in hit_tours:
+                continue
+            tour = solution.tour_customers(t)
+            length = int(rng.integers(1, min(params.max_string_len, len(tour)) + 1))
+            pos = tour.index(c)
+            lo = max(0, min(pos - int(rng.integers(length)), len(tour) - length))
+            removed.extend(tour[lo : lo + length])
+            hit_tours.add(t)
+            # only a new string changes what stops the walk
+            if len(hit_tours) >= params.max_strings or len(removed) >= target:
+                return removed
     return removed
 
 

@@ -173,6 +173,20 @@ def sort_by_llm_1(customers, instance):
     pass
 """
 
+# one-byte records: each is charged a fixed minimum against the flood cap
+TINY_FLOODER = """\
+import os
+
+
+def select_by_llm_1(sol):
+    while True:
+        os.write(1, b"x")
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
 
 # rebinds engine functions and module globals, then runs the seed operators
 REBINDER = """\
@@ -447,7 +461,8 @@ class TestEvaluate:
         assert report.status == "runtime_error"
 
     @pytest.mark.parametrize(
-        "source", [pytest.param(FLOODER, id="print"), pytest.param(RAW_FLOODER, id="raw-fd1")]
+        "source", [pytest.param(FLOODER, id="print"), pytest.param(RAW_FLOODER, id="raw-fd1"),
+                   pytest.param(TINY_FLOODER, id="tiny-fd1")]
     )
     def test_stdout_flood_is_contained(self, tmp_path, train_files, source):
         ev = Evaluator(tmp_path, smoke_test=False)

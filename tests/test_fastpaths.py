@@ -4,12 +4,16 @@ The sanitizers and ``remove_customers``' id check take a fast path on
 lists of plain ints, and ``sanitize_order`` keeps an int64 order that is
 already a permutation of an ascending ``removed`` array. ``sort_by_key``
 sorts with ``np.lexsort``, ``string_remove`` walks only the served
-neighbours of its seed, ``remove_customers`` drops unassigned ids with one
-mask and ``greedy_reinsert`` checks its order with one sort. Each must
-return exactly what the loop kept here as a reference returns (the same
-values, all of type ``int``, or an int64 array of them from
-``sanitize_order``), leave the same state, raise where it raises, and draw
-the same random numbers.
+neighbours of its seed, a short block first and then the rest at once,
+``remove_customers`` leaves unassigned ids to the detach kernel, which
+skips them, and ``greedy_reinsert`` checks its order with one sort.
+``seed_random_remove`` draws indices into ``assigned_ids()``, which scans
+from the depot, and ``initial_solution`` writes its singleton rows as
+arrays. Each must return exactly what the reference kept here returns (the
+same values, all of type ``int``, or an int64 array of them from
+``sanitize_order``; for ``initial_solution``, ``Solution.from_tours``'
+arena bytes), leave the same state, raise where it raises, and draw the
+same random numbers.
 """
 
 import numpy as np
@@ -22,7 +26,12 @@ from routesmith.errors import InputError, OperatorProtocolError
 from routesmith.instances import GenParams, generate
 from routesmith.lns import greedy_reinsert, initial_solution, sanitize_order, sanitize_removal
 from routesmith.model import Instance, Problem, Solution, _coerce_ids, remove_customers
-from routesmith.operators import StringRemovalParams, sort_by_key, string_remove
+from routesmith.operators import (
+    StringRemovalParams,
+    seed_random_remove,
+    sort_by_key,
+    string_remove,
+)
 from routesmith.util import make_rng
 
 
@@ -79,7 +88,8 @@ def reference_sort(instance, ids, key):
     return sorted(out, key=lambda c: (-instance.dist[0, c], c))
 
 
-def reference_string_remove(instance, solution, rng, params):
+def reference_string_remove(instance, solution, rng, params, walked=None):
+    """The walk as a loop; ``walked`` (a list) receives every node it reads."""
     assigned = solution.assigned_ids()
     if assigned.size == 0:
         return []
@@ -89,6 +99,8 @@ def reference_string_remove(instance, solution, rng, params):
     for c in [seed] + [int(x) for x in instance.adjacency[seed]]:
         if len(hit_tours) >= params.max_strings or len(removed) >= target:
             break
+        if walked is not None:
+            walked.append(c)
         if c == 0:
             continue
         t = int(solution._tour_of[c])
@@ -148,15 +160,15 @@ id_lists = st.one_of(st.lists(ids_in_range, max_size=40), st.lists(mixed_item, m
                      st.permutations(list(range(-3, N + 4))))
 
 
-def partial_solution(seed, removed_share, problem=Problem.CVRP):
+def partial_solution(seed, removed_share, problem=Problem.CVRP, n=N):
     """An n=24 solution of a few tours with a share of customers detached."""
-    inst = generate(GenParams(problem=problem, n=N, seed=seed % 5, capacity=30))
+    inst = generate(GenParams(problem=problem, n=n, seed=seed % 5, capacity=30))
     sol = initial_solution(inst)
     rng = make_rng(seed)
-    everyone = list(range(1, N + 1))
+    everyone = list(range(1, n + 1))
     remove_customers(sol, everyone)
     greedy_reinsert(sol, everyone)
-    k = int(removed_share * N)
+    k = int(removed_share * n)
     remove_customers(sol, [int(c) for c in rng.choice(everyone, size=k, replace=False)])
     return sol
 
@@ -305,6 +317,74 @@ def test_string_remove_matches_its_walk(seed, share, rng_seed, params):
     out = string_remove(sol.instance, sol, rng, params)
     assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params))
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_string_remove_matches_its_walk_past_the_first_block():
+    """On n=120 walks end on both sides of the first block's end."""
+    lengths = []
+    for seed in range(12):
+        for share in (0.0, 0.9):
+            sol = partial_solution(seed, share, n=120)
+            for params in (StringRemovalParams(), StringRemovalParams(10, 30, 8)):
+                for rng_seed in range(4):
+                    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+                    walked = []
+                    out = string_remove(sol.instance, sol, rng, params)
+                    assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params,
+                                                             walked))
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    lengths.append(len(walked))
+    assert min(lengths) < 16 < max(lengths)
+
+
+def reference_assigned_ids(solution):
+    return (solution._tour_of[1:] >= 0).nonzero()[0].astype(np.int64) + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 50), st.sampled_from((0.0, 0.3, 0.9, 1.0)), st.integers(0, 2**32 - 1),
+       st.sampled_from(list(Problem)))
+def test_seed_random_remove_matches_choice_over_the_ids(seed, share, rng_seed, problem):
+    """Indices into ``assigned_ids()`` draw what ``rng.choice`` over the ids
+    themselves draws: the same ids, the same rng state after the call."""
+    sol = partial_solution(seed, share, problem)
+    assigned = sol.assigned_ids()
+    reference = reference_assigned_ids(sol)
+    assert assigned.dtype == np.int64 and assigned.tolist() == reference.tolist()
+    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+    out = seed_random_remove(sol.instance, sol, rng)
+    expected = []
+    if reference.size:
+        k = min(int(ref_rng.integers(10, 21)), reference.size)
+        expected = ref_rng.choice(reference, size=k, replace=False).tolist()
+    assert same(out, expected)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("problem", list(Problem))
+@pytest.mark.parametrize("n", [1, 24, 120])
+def test_initial_solution_matches_singleton_tours(problem, n):
+    for seed in range(3):
+        inst = generate(GenParams(problem=problem, n=n, seed=seed, capacity=30))
+        mine = initial_solution(inst)
+        ref = Solution.from_tours(inst, [[c] for c in range(1, n + 1)])
+        assert mine.n_tours == ref.n_tours == n
+        assert mine._arena.tobytes() == ref._arena.tobytes()
+        assert mine._total_cost.hex() == ref._total_cost.hex()
+        assert mine._prize_penalty.hex() == ref._prize_penalty.hex()
+        assert type(mine._total_cost) is type(mine._prize_penalty) is float
+
+
+def test_initial_solution_waits_and_ties_like_retime():
+    """Windows that open before, at and after the direct arrival."""
+    coords = [(0.0, 0.0), (3.0, 0.0), (0.0, 4.0), (1.0, 0.0)]
+    inst = Instance(Problem.VRPTW, coords, [0, 1, 1, 1], capacity=5,
+                    service=[0.0, 0.5, 0.5, 0.5], tw_start=[0.0, 1.0, 4.0, 2.5],
+                    tw_end=[99.0, 9.0, 9.0, 9.0])
+    mine = initial_solution(inst)
+    ref = Solution.from_tours(inst, [[1], [2], [3]])
+    assert mine._estart[:, 0].tolist() == [3.0, 4.0, 2.5]
+    assert mine._arena.tobytes() == ref._arena.tobytes()
 
 
 def test_reinsert_refuses_every_non_permutation(gen):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routesmith import _kernels, lns
 from routesmith.errors import ConfigError, InstanceError, OperatorProtocolError
 from routesmith.lns import (
     LnsConfig,
@@ -339,3 +341,70 @@ class TestRun:
         _, stats = run(inst, pair, LnsConfig(max_iterations=20, seed=1))
         assert calls["remove"] == 20 and calls["order"] == 20
         assert stats.status == "completed"
+
+
+VARIANTS = [
+    pytest.param("cvrp", ("seed_random", "random"), id="cvrp"),
+    pytest.param("vrptw", ("string", "depot_distance_desc"), id="vrptw"),
+    pytest.param("pcvrp", ("string", "demand_desc"), id="pcvrp"),
+]
+
+
+@pytest.mark.parametrize("problem, pair", VARIANTS)
+def test_run_looks_up_each_step_at_call_time(gen, monkeypatch, problem, pair):
+    """``lns.run`` reaches each step through the name a per-step tracer wraps
+    (an ``lns`` global, ``Solution.clone`` or a ``_kernels`` attribute), as
+    often as a traced split needs: once per iteration, once per non-empty
+    removal, and the final validation."""
+    calls = dict.fromkeys(
+        ["clone", "sanitize_removal", "remove_customers", "sanitize_order", "greedy_reinsert",
+         "accept", "validate", "remove_ids", "greedy_insert", "nonempty"], 0)
+
+    def counted(owner, name):
+        orig = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = orig(*args, **kwargs)
+            if name == "sanitize_removal":
+                calls["nonempty"] += bool(result)
+            return result
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Solution, "clone")
+    for name in ("sanitize_removal", "remove_customers", "sanitize_order", "greedy_reinsert",
+                 "accept", "validate"):
+        counted(lns, name)
+    for name in ("remove_ids", "greedy_insert"):
+        counted(_kernels, name)
+    inst = gen(problem=problem, n=40, seed=3)
+    _, stats = run(inst, builtin_pair(*pair), LnsConfig(max_iterations=30, seed=4))
+    assert stats.status == "completed" and stats.iterations == 30
+    assert calls["nonempty"] > 0
+    for name in ("clone", "sanitize_removal", "accept"):
+        assert calls[name] >= stats.iterations, name
+    for name in ("remove_customers", "sanitize_order", "greedy_reinsert", "remove_ids",
+                 "greedy_insert"):
+        assert calls[name] >= calls["nonempty"], name
+    assert calls["validate"] >= 1
+
+
+# objective, accepts, improvements and a digest of the best tours of a seeded
+# 300-iteration run on an n=60 instance: a change to any search decision or to
+# the bits of any cost moves them
+SEEDED_RUNS = {
+    "cvrp": ("0x1.fe56db5485954p+3", 105, 25, "96890f026855bcbf"),
+    "vrptw": ("0x1.57ee8507de651p+4", 170, 41, "82759e1b21eedb85"),
+    "pcvrp": ("0x1.af516bb410551p+1", 300, 21, "4f53cda18c2baa0c"),
+}
+
+
+@pytest.mark.parametrize("problem, pair", VARIANTS)
+def test_seeded_runs_keep_their_bits(gen, problem, pair):
+    inst = gen(problem=problem, n=60, seed=5)
+    best, stats = run(inst, builtin_pair(*pair), LnsConfig(max_iterations=300, seed=11))
+    tours = repr([t.customers for t in best.tours]).encode()
+    assert (best.total_objective.hex(), stats.accepted_count, stats.improved_count,
+            hashlib.sha256(tours).hexdigest()[:16]) == SEEDED_RUNS[problem]
+    assert best.total_objective == stats.best_objective
