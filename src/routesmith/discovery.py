@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import ConfigError, DiscoveryError, ExtractionError, GatewayError
 from .evaluator import DISQUALIFIED, EvalManifest, Evaluator, fitness_from_report
 from .gateway import Gateway, extract_code
+from .instances import eval_seed_for
 from .prompts import MUTATION_KINDS, render, runtime_bindings
 from .util import count_lines, derive_seed, make_rng
 
@@ -78,23 +79,13 @@ class Individual:
 
     @classmethod
     def from_record(cls, rec: dict) -> "Individual":
-        fit = rec["fitness"]
-        if fit == "disqualified":
-            fit = DISQUALIFIED
-        return cls(
-            id=rec["id"],
-            source=rec["source"],
-            line_count=rec["line_count"],
-            parents=tuple(rec["parents"]),
-            kind=rec["kind"],
-            fitness=fit,
-            eval_detail=list(rec.get("eval_detail", [])),
-            eval_iterations=list(rec.get("eval_iterations", [])),
-            eval_status=rec.get("eval_status", "unevaluated"),
-            validation_mean=rec.get("validation_mean"),
-            eval_timing=list(rec.get("eval_timing", [])),
-            llm=dict(rec.get("llm", {})),
-        )
+        """The inverse of ``to_record``, for journal lines too: unknown keys
+        are ignored, and a field a record lacks takes its default."""
+        kwargs = {f.name: rec[f.name] for f in fields(cls) if f.name in rec}
+        kwargs["parents"] = tuple(kwargs["parents"])
+        if kwargs.get("fitness") == "disqualified":
+            kwargs["fitness"] = DISQUALIFIED
+        return cls(**kwargs)
 
 
 @dataclass
@@ -213,12 +204,11 @@ class DiscoveryRun:
 
     def _manifest(self, iteration: int) -> EvalManifest:
         cfg = self.config
-        seeds = []
-        for i in range(len(self.train_paths)):
-            if cfg.vary_eval_seeds:
-                seeds.append(derive_seed(cfg.master_seed, "instance", i, iteration))
-            else:
-                seeds.append(derive_seed(cfg.master_seed, "instance", i))
+        seeds = [
+            derive_seed(cfg.master_seed, "instance", i, iteration) if cfg.vary_eval_seeds
+            else eval_seed_for(cfg.master_seed, i)
+            for i in range(len(self.train_paths))
+        ]
         return EvalManifest(
             instance_paths=tuple(self.train_paths),
             seeds=tuple(seeds),
@@ -334,11 +324,13 @@ class DiscoveryRun:
             "history": self.history,
             "individuals": {str(ind.id): ind.to_record() for ind in keep.values()},
         }
-        path = self.run_dir / "checkpoints" / f"state-{self.completed_iterations:04d}.json"
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(state, indent=1))
-        tmp.replace(path)
-        (self.run_dir / "checkpoints" / "latest.json").write_text(json.dumps(state, indent=1))
+        text = json.dumps(state, indent=1)
+        # each file is whole or absent: resume reads latest.json
+        for name in (f"state-{self.completed_iterations:04d}.json", "latest.json"):
+            path = self.run_dir / "checkpoints" / name
+            tmp = path.with_suffix(".tmp")
+            tmp.write_text(text)
+            tmp.replace(path)
 
     def resume(self) -> None:
         path = self.run_dir / "checkpoints" / "latest.json"

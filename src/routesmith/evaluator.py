@@ -3,10 +3,12 @@
 ``build`` syntax-checks candidate source against the pinned operator
 interface and stores it as a content-addressed artifact.
 ``evaluate_sources`` scores a batch of candidates (``prefetch`` queues one
-without waiting): every job of every candidate (a preflight smoke run on one
-tiny instance, and one run per training instance) goes to the evaluator's
-one pool of ``workers`` supervised child processes, smoke runs first, so the
-smoke run runs beside the training runs instead of ahead of them. Each child
+without waiting). Each (source, manifest) pair is one evaluation whose jobs,
+one per training instance, go to the evaluator's one pool of ``workers``
+supervised child processes. With the smoke test on, the evaluation of the
+same source on one tiny instance is its gate: it is queued first and runs
+beside the training runs, and its failure stops them and decides the
+report. Each child
 executes the full LNS loop with the candidate operators and sends its JSON
 protocol records on fd 1, a SOCK_SEQPACKET socket, so the kernel frames each
 record as one message; the candidate's ``print`` goes to stderr. The
@@ -75,8 +77,8 @@ SUPERVISE_TICK = 0.05
 # how long the supervisor waits for the server to reap a child it killed
 # before it takes the server for stopped and replaces it
 REAP_TIMEOUT = 2.0
-# the status of a job killed because a lower-index job of its candidate
-# failed; the lower failure decides the report, so it never reaches one
+# the status of a job killed because a lower-index job of its evaluation,
+# or its gate, failed; that failure decides the report, so it never reaches one
 CANCELLED = "cancelled"
 
 
@@ -422,59 +424,60 @@ def _run_child(
     return "ok", dict(result, timing=timing), ""
 
 
-class _Candidate:
-    """One artifact's jobs: the smoke run is job -1, instance i is job i.
+class _Evaluation:
+    """One artifact on one manifest: job i runs instance i.
 
-    ``first_failure`` is the lowest index of a job that failed so far. A job
-    above it is dropped before it starts, or killed at its supervisor's next
-    tick; lower jobs run on, as one of them may still fail and decide the
-    report.
+    ``jobs`` are the pool's futures; a job returns its outcome, or None when
+    it was dropped. ``label`` formats a job's entry id: ``"inst-{:03d}"``,
+    or ``"smoke"`` for the smoke evaluation. ``first_failure`` is the lowest
+    index of a job that failed so far. A job above it is dropped before it
+    starts, or killed at its supervisor's next tick; lower jobs run on, as
+    one of them may still fail and decide the report. A failed ``gate`` (the
+    smoke evaluation of the same artifact) stops every job.
     """
 
-    def __init__(self, artifact: BuildArtifact, manifest: EvalManifest, smoke: bool):
+    def __init__(
+        self, key, artifact: BuildArtifact, manifest: EvalManifest, label: str, gate: _Evaluation | None = None
+    ):
+        self.key = key
         self.artifact = artifact
         self.manifest = manifest
-        self.smoke = smoke
-        self.outcomes: dict[int, tuple[str, InstanceResult | None, str]] = {}
+        self.label = label
+        self.gate = gate
+        self.jobs: list = []
         self.first_failure = math.inf
-        self.error: BaseException | None = None
-        self._left = len(manifest.instance_paths) + smoke
         self._lock = threading.Lock()
-        self._done = threading.Event()
-        if not self._left:
-            self._done.set()
+        self._report: EvalReport | None = None
 
-    def record(self, index: int, outcome=None, error: BaseException | None = None) -> None:
-        """A job ended: with an outcome, dropped (neither), or raising."""
+    def failed(self, index: float) -> None:
         with self._lock:
-            if error is not None:
-                self.error = self.error or error
-                self.first_failure = -math.inf
-            elif outcome is not None:
-                self.outcomes[index] = outcome
-                if outcome[0] != "ok":
-                    self.first_failure = min(self.first_failure, index)
-            self._left -= 1
-            if not self._left:
-                self._done.set()
+            self.first_failure = min(self.first_failure, index)
 
     def stop(self) -> None:
         """Drop the jobs that have not started and kill the running ones."""
-        with self._lock:
-            self.first_failure = -math.inf
+        self.failed(-math.inf)
+
+    def stopped(self, index: int) -> bool:
+        return self.first_failure < index or (self.gate is not None and self.gate.first_failure < math.inf)
+
+    def done(self) -> bool:
+        """Every job ended, and so did the gate's."""
+        return all(job.done() for job in self.jobs) and (self.gate is None or self.gate.done())
 
     def report(self) -> EvalReport:
-        """Wait for every job; the lowest-index failure decides, as in a serial run."""
-        self._done.wait()
-        if self.error is not None:
-            raise self.error
-        if self.smoke:
-            status, _, detail = self.outcomes[-1]
-            if status != "ok":
-                return EvalReport(status=status, build_log=f"preflight smoke failed: {detail}")
+        """Wait for the gate and every job; the gate's failure decides first,
+        then the lowest-index failure, as in a serial run. Computed once."""
+        if self._report is None:
+            self._report = self._decide()
+        return self._report
+
+    def _decide(self) -> EvalReport:
+        gate = self.gate.report() if self.gate is not None else None
+        outcomes = [job.result() for job in self.jobs]  # raises a job's exception
+        if gate is not None and not gate.ok:
+            return EvalReport(status=gate.status, build_log=f"preflight smoke failed: {gate.build_log}")
         per_instance: list[InstanceResult] = []
-        for index in range(len(self.manifest.instance_paths)):
-            status, result, detail = self.outcomes[index]
+        for status, result, detail in outcomes:  # a dropped job only follows a failure
             if status != "ok":
                 return EvalReport(status=status, per_instance=per_instance, build_log=detail)
             per_instance.append(result)
@@ -487,17 +490,19 @@ class Evaluator:
     Every job runs on the evaluator's one pool of ``workers`` child
     processes, each forked from its warm child server: ``prefetch`` queues a
     batch's jobs, and ``evaluate_sources`` queues what is not queued yet and
-    waits for the reports. With ``smoke_test`` on, a smoke run on one tiny
-    instance runs beside each candidate's training runs; its verdict is kept
-    per artifact, so a source is smoke-run once per evaluator. A candidate's
-    first failure stops its later jobs. A candidate's child can stop the
-    server that forked it, and with it the jobs of other candidates: a job
-    whose server ended after it ran jobs of more than one candidate runs
-    again on a server of its own, where the outcome is its own. Reports are cached by (source
-    digest, manifest digest): with fixed per-instance seeds and an iteration
-    budget they are deterministic, and each equals the report of a serial
-    run. The evaluator is driven from one thread at a time. Use it as a
-    context manager, or call ``close``, to stop the pool and the server.
+    waits for the reports. One memo keeps an evaluation per (source digest,
+    manifest digest), queued, running or reported. With ``smoke_test`` on, a
+    source's evaluation on one tiny smoke instance gates each of its
+    evaluations: it runs beside their training runs, once per source, and
+    its failure stops them and becomes their report. An evaluation's first
+    failure stops its later jobs. A candidate's child can stop the server
+    that forked it, and with it the jobs of other candidates: a job whose
+    server ended after it ran jobs of more than one candidate runs again on
+    a server of its own, where the outcome is its own. With fixed
+    per-instance seeds and an iteration budget reports are deterministic,
+    and each equals the report of a serial run. The evaluator is driven from
+    one thread at a time. Use it as a context manager, or call ``close``, to
+    stop the pool and the server.
     """
 
     def __init__(self, cache_dir, workers: int = 2, smoke_test: bool = True):
@@ -505,13 +510,11 @@ class Evaluator:
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.workers = max(1, workers)
         self.smoke_test = smoke_test
-        self._report_cache: dict[tuple[str, str], EvalReport] = {}
-        # artifact digest -> (status, detail) of its smoke run
-        self._smoke_verdicts: dict[str, tuple[str, str]] = {}
+        # (source digest, manifest digest) -> its evaluation, queued, running
+        # or reported; the smoke evaluations are among them
+        self._evaluations: dict[tuple[str, str], _Evaluation] = {}
         self._instance_cache: dict[str, object] = {}
         self._smoke_manifest: EvalManifest | None = None
-        # candidates whose jobs are queued or running, by report-cache key
-        self._in_flight: dict[tuple[str, str], _Candidate] = {}
         self._pool = None  # the job pool, made by the first job
         # started by the first child or by start(), so an evaluator that never
         # evaluates costs nothing
@@ -540,10 +543,10 @@ class Evaluator:
 
     def close(self) -> None:
         """Stop the jobs, the pool and the child server; a later evaluation
-        starts new ones."""
-        for cand in self._in_flight.values():
-            cand.stop()
-        self._in_flight.clear()
+        starts new ones. Unfinished evaluations are forgotten, finished ones
+        kept."""
+        for ev in [ev for ev in self._evaluations.values() if not ev.done()]:
+            self._forget(ev)
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
@@ -611,47 +614,26 @@ class Evaluator:
             iterations=iterations,
         )
 
-    def _prepare(self, source: str, manifest: EvalManifest, key: tuple[str, str]):
-        """A batch slot: the report, when no job has to run, or the candidate."""
-        try:
-            artifact = build(source, self.cache_dir / "artifacts")
-        except CandidateBuildError as exc:
-            return EvalReport(status="compile_error", build_log=str(exc))
-        if key in self._report_cache:
-            return self._report_cache[key]
-        verdict = self._smoke_verdicts.get(artifact.digest) if self.smoke_test else ("ok", "")
-        if verdict is None:
-            self._smoke()  # its instance file is written before any job starts
-        elif verdict[0] != "ok":
-            report = EvalReport(status=verdict[0], build_log=f"preflight smoke failed: {verdict[1]}")
-            self._report_cache[key] = report
-            return report
-        return _Candidate(artifact, manifest, smoke=verdict is None)
+    def _run_job(self, ev: _Evaluation, index: int):
+        """Run job ``index`` of ``ev``: its outcome, or None when it was dropped."""
 
-    def _run_job(self, cand: _Candidate, index: int) -> None:
         def stopped() -> bool:
-            return cand.first_failure < index
+            return ev.stopped(index)
 
+        manifest, entry_id = ev.manifest, ev.label.format(index)
+        path, seed = manifest.instance_paths[index], manifest.seeds[index]
         try:
-            if index < 0:
-                manifest, entry_id = self._smoke(), "smoke"
-                path, seed = manifest.instance_paths[0], manifest.seeds[0]
-            else:
-                manifest, entry_id = cand.manifest, f"inst-{index:03d}"
-                path, seed = manifest.instance_paths[index], manifest.seeds[index]
             if stopped():
-                cand.record(index)  # dropped: a lower-index job failed
-                return
+                return None
             server = self._child_server()
-            server.tenants.add(cand.artifact.digest)
-            run = (cand.artifact, entry_id, path, seed, manifest, stopped)
+            server.tenants.add(ev.artifact.digest)
+            run = (ev.artifact, entry_id, path, seed, manifest, stopped)
             status, record, detail = _run_child(server, *run)
             # any candidate with a job on a server that ended may have stopped
             # it; unless that is this one alone, the outcome is not the job's own
-            if server.proc.poll() is not None and server.tenants != {cand.artifact.digest}:
+            if server.proc.poll() is not None and server.tenants != {ev.artifact.digest}:
                 if stopped():
-                    cand.record(index)  # dropped: a lower-index job failed
-                    return
+                    return None
                 own = _ChildServer()  # the job runs again where nothing else runs
                 try:
                     status, record, detail = _run_child(own, *run)
@@ -660,49 +642,59 @@ class Evaluator:
             if status == "ok":
                 status, result = self._revalidate(entry_id, record, path)
                 if status == "ok":
-                    outcome = ("ok", replace(result, **record["timing"]), "")
-                else:
-                    outcome = (status, None, "result failed supervisor re-validation")
-            else:
-                outcome = (status, None, detail)
-            if index < 0 and status != CANCELLED:
-                self._smoke_verdicts[cand.artifact.digest] = (outcome[0], outcome[2])
-        except BaseException as exc:  # re-raised by the candidate's report()
-            cand.record(index, error=exc)
-        else:
-            cand.record(index, outcome)
+                    return "ok", replace(result, **record["timing"]), ""
+                detail = "result failed supervisor re-validation"
+        except BaseException:  # re-raised by the evaluation's report()
+            ev.stop()
+            raise
+        ev.failed(index)
+        return status, None, detail
 
-    def _queue(self, items) -> dict:
-        """Queue the jobs of (source, manifest) pairs not yet queued.
+    def _evaluation(
+        self, artifact: BuildArtifact, manifest: EvalManifest, label: str, gate: _Evaluation | None = None
+    ) -> _Evaluation:
+        """The memo's evaluation of ``artifact`` on ``manifest``; a new one is
+        queued on the pool."""
+        key = (artifact.digest, manifest.digest())
+        ev = self._evaluations.get(key)
+        if ev is None:
+            if self._pool is None:
+                # a lazy import keeps concurrent.futures (and the logging it
+                # loads) out of processes that import this module but never
+                # evaluate
+                from concurrent.futures import ThreadPoolExecutor
 
-        Returns a slot per pair: its report when no job has to run (a compile
-        error, a cached report, a failed smoke verdict), else its candidate.
-        The smoke runs of the batch are queued first.
+                self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="routesmith-eval")
+            ev = self._evaluations[key] = _Evaluation(key, artifact, manifest, label, gate)
+            ev.jobs = [self._pool.submit(self._run_job, ev, i) for i in range(len(manifest.instance_paths))]
+        return ev
+
+    def _queue(self, items) -> list:
+        """The evaluation of each (source, manifest) pair, queued unless it is
+        in the memo, or the report of a compile error, which is not kept.
+
+        With ``smoke_test`` on, a new evaluation's gate is the smoke
+        evaluation of its source, queued before it.
         """
-        slots: dict[tuple[str, str], object] = {}
-        fresh: list[_Candidate] = []
+        slots: list = []
         for source, manifest in items:
-            key = (source_digest(source), manifest.digest())
-            if key in slots:
-                continue
-            slot = self._in_flight.get(key)
-            if slot is None:
-                slot = self._prepare(source, manifest, key)
-                if isinstance(slot, _Candidate):
-                    self._in_flight[key] = slot
-                    fresh.append(slot)
-            slots[key] = slot
-        if fresh and self._pool is None:
-            # a lazy import keeps concurrent.futures (and the logging it loads)
-            # out of processes that import this module but never evaluate
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(self.workers, thread_name_prefix="routesmith-eval")
-        jobs = [(c, -1) for c in fresh if c.smoke]
-        jobs += [(c, i) for c in fresh for i in range(len(c.manifest.instance_paths))]
-        for cand, index in jobs:
-            self._pool.submit(self._run_job, cand, index)
+            ev = self._evaluations.get((source_digest(source), manifest.digest()))
+            if ev is None:
+                try:
+                    artifact = build(source, self.cache_dir / "artifacts")
+                except CandidateBuildError as exc:
+                    slots.append(EvalReport(status="compile_error", build_log=str(exc)))
+                    continue
+                gate = self._evaluation(artifact, self._smoke(), "smoke") if self.smoke_test else None
+                ev = self._evaluation(artifact, manifest, "inst-{:03d}", gate)
+            slots.append(ev)
         return slots
+
+    def _forget(self, ev: _Evaluation) -> None:
+        """Stop an evaluation left without a report and drop it from the memo."""
+        ev.stop()
+        if self._evaluations.get(ev.key) is ev:
+            del self._evaluations[ev.key]
 
     # -- public API ------------------------------------------------------
 
@@ -718,19 +710,21 @@ class Evaluator:
     def evaluate_sources(self, items: list[tuple[str, EvalManifest]]) -> list[EvalReport]:
         """Build and evaluate (source, manifest) pairs; one report per pair.
 
-        The jobs go to the evaluator's pool of ``workers``: the smoke runs
-        first, then each candidate's instances in order. Compile failures map
-        to a ``compile_error`` report; a pair met before (in this batch, in
-        the report cache or among the prefetched ones) runs once.
+        The jobs go to the evaluator's pool of ``workers``: each candidate's
+        smoke run (unless its source met it before), then its instances in
+        order. Compile failures map to a ``compile_error`` report; a pair met
+        before (in this batch, in the memo or among the prefetched ones) runs
+        once. When the batch raises, the evaluations it leaves without a
+        report are stopped and forgotten; a smoke run under way finishes.
         """
         slots = self._queue(items)
         try:
             return [self.evaluate_source(source, manifest) for source, manifest in items]
-        finally:
-            for key, slot in slots.items():
-                if self._in_flight.get(key) is slot:  # not collected: the batch raised
-                    slot.stop()
-                    del self._in_flight[key]
+        except BaseException:
+            for ev in slots:
+                if isinstance(ev, _Evaluation) and ev._report is None:
+                    self._forget(ev)
+            raise
 
     def evaluate_source(self, source: str, manifest: EvalManifest) -> EvalReport:
         """Build + evaluate one source: the one-item case of ``evaluate_sources``.
@@ -738,15 +732,13 @@ class Evaluator:
         Jobs already queued for the pair (by a batch or ``prefetch``) are
         waited for, not queued again.
         """
-        (key, slot), = self._queue([(source, manifest)]).items()
-        if not isinstance(slot, _Candidate):
-            return slot
+        ev, = self._queue([(source, manifest)])
+        if isinstance(ev, EvalReport):
+            return ev
         try:
-            report = slot.report()
+            return ev.report()
         except BaseException:
-            slot.stop()
+            self._forget(ev)
+            if ev.gate is not None and ev.gate.first_failure == -math.inf:
+                self._forget(ev.gate)  # a job of it raised: it has no verdict
             raise
-        finally:
-            del self._in_flight[key]
-        self._report_cache[key] = report
-        return report

@@ -2,6 +2,7 @@ import json
 import math
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +17,7 @@ from routesmith.discovery import (
 from routesmith.errors import ConfigError, DiscoveryError
 from routesmith.evaluator import EvalReport, InstanceResult
 from routesmith.gateway import Gateway, MockProvider
+from routesmith.instances import eval_seed_for
 from routesmith.util import count_lines, sha256_hex
 
 
@@ -292,6 +294,24 @@ class TestMutation:
             assert 85 <= value <= 165  # ~125 expected
 
 
+class TestRecords:
+    @pytest.mark.parametrize("fitness_value", [12.5, math.inf])
+    def test_record_round_trip(self, fitness_value):
+        original = Individual(
+            id=3, source="src", line_count=4, parents=(1, 2), kind="crossover", fitness=fitness_value,
+            eval_detail=[12.0, 13.0], eval_iterations=[7, 7], eval_status="ok", validation_mean=11.5,
+        )
+        record = json.loads(json.dumps(original.to_record()))
+        assert Individual.from_record(record) == original
+        assert Individual.from_record(dict(record, unknown_key=1)) == original
+
+    def test_manifest_uses_the_instance_eval_seeds(self, tmp_path):
+        run = make_run(tmp_path, train=("t0.txt", "t1.txt", "t2.txt"))
+        for iteration in (1, 2):
+            seeds = run._manifest(iteration).seeds
+            assert seeds == tuple(eval_seed_for(run.config.master_seed, i) for i in range(3))
+
+
 class TestGaRun:
     def test_journal_keeps_iterations_per_instance(self, tmp_path):
         # the marker fails some of the mock provider's candidates
@@ -348,6 +368,31 @@ class TestGaRun:
         make_run(tmp_path / "cut", config=make_config(iterations=2)).run()
         resumed = make_run(tmp_path / "cut", config=make_config(iterations=4))
         resumed.run(resume=True)
+        full_state = json.loads((tmp_path / "full" / "checkpoints" / "latest.json").read_text())
+        cut_state = json.loads((tmp_path / "cut" / "checkpoints" / "latest.json").read_text())
+        assert full_state == cut_state
+
+    def test_torn_latest_checkpoint_is_never_read(self, tmp_path, monkeypatch):
+        write_text = Path.write_text
+        writes = []
+
+        def torn(self, data, *args, **kwargs):
+            if self.name.startswith("latest"):
+                writes.append(self.name)
+                if len(writes) == 3:  # the checkpoint of iteration 2: init, 1, 2
+                    write_text(self, data[: len(data) // 2], *args, **kwargs)
+                    raise OSError("disk went away")
+            return write_text(self, data, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", torn)
+        with pytest.raises(OSError, match="disk went away"):
+            make_run(tmp_path / "cut", config=make_config(iterations=2)).run()
+        monkeypatch.setattr(Path, "write_text", write_text)
+        resumed = make_run(tmp_path / "cut", config=make_config(iterations=2))
+        resumed.resume()
+        assert resumed.completed_iterations == 1
+        resumed.run(resume=True)
+        make_run(tmp_path / "full", config=make_config(iterations=2)).run()
         full_state = json.loads((tmp_path / "full" / "checkpoints" / "latest.json").read_text())
         cut_state = json.loads((tmp_path / "cut" / "checkpoints" / "latest.json").read_text())
         assert full_state == cut_state

@@ -840,6 +840,83 @@ class TestBatch:
         assert report.status == "runtime_error"
         assert report.build_log.startswith("preflight smoke failed:")
 
+    def test_one_source_on_two_manifests_runs_one_smoke_child(self, tmp_path, train_files, children):
+        training, validation = manifest_for(train_files), manifest_for(train_files[:1])
+        with Evaluator(tmp_path / "a", workers=2, smoke_test=True) as ev:
+            both = ev.evaluate_sources([(SEED_SOURCE, training), (SEED_SOURCE, validation)])
+        assert sorted(children) == ["inst-000", "inst-000", "inst-001", "smoke"]
+        apart = []
+        for name, m in (("b", training), ("c", validation)):
+            with Evaluator(tmp_path / name, workers=2, smoke_test=True) as ev:
+                apart.append(ev.evaluate_source(SEED_SOURCE, m))
+        assert all(r.ok for r in both)
+        assert [_summary(r) for r in both] == [_summary(r) for r in apart]
+
+    def test_a_raising_smoke_job_leaves_no_verdict(self, tmp_path, train_files, children, monkeypatch):
+        revalidate = Evaluator._revalidate
+
+        def broken(self, entry_id, *args):
+            if entry_id == "smoke":
+                raise RuntimeError("revalidation broke")
+            return revalidate(self, entry_id, *args)
+
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            monkeypatch.setattr(Evaluator, "_revalidate", broken)
+            with pytest.raises(RuntimeError, match="revalidation broke"):
+                ev.evaluate_source(SEED_SOURCE, m)
+            monkeypatch.setattr(Evaluator, "_revalidate", revalidate)
+            del children[:]
+            assert ev.evaluate_source(SEED_SOURCE, m).ok
+        assert sorted(children) == ["inst-000", "inst-001", "smoke"]  # all of it ran again
+
+    def test_a_raising_evaluation_keeps_its_smoke_verdict(self, tmp_path, train_files, children, monkeypatch):
+        revalidate = Evaluator._revalidate
+
+        def broken(self, entry_id, *args):
+            if entry_id == "inst-001":
+                raise RuntimeError("revalidation broke")
+            return revalidate(self, entry_id, *args)
+
+        training, validation = manifest_for(train_files), manifest_for(train_files[:1])
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            monkeypatch.setattr(Evaluator, "_revalidate", broken)
+            with pytest.raises(RuntimeError, match="revalidation broke"):
+                ev.evaluate_sources([(SEED_SOURCE, training)])
+            monkeypatch.setattr(Evaluator, "_revalidate", revalidate)
+            del children[:]
+            assert ev.evaluate_source(SEED_SOURCE, validation).ok
+            assert children == ["inst-000"]  # passed its smoke run already
+            assert ev.evaluate_source(SEED_SOURCE, training).ok  # the failed one ran again
+
+    def test_tracer_call_sites_are_reached(self, tmp_path, train_files, monkeypatch):
+        """perfbench's discover tracer wraps these names and fails a traced
+        run that never reaches one of them."""
+        calls = {}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(Evaluator, "evaluate_source")
+        count(evaluator, "_run_child")
+        count(Evaluator, "_revalidate")
+        count(evaluator, "check_source")
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            reports = ev.evaluate_sources([(SEED_SOURCE, m), (CHATTY, m)])
+        assert all(r.ok for r in reports)
+        assert calls["evaluate_source"] >= 2  # once per item at least
+        assert calls["_run_child"] == 6  # two smoke runs and four training runs
+        assert calls["_revalidate"] == 6  # once per ok result
+        assert calls["check_source"] == 2  # once per source
+
     def test_prefetched_jobs_run_once(self, tmp_path, train_files, children):
         m = manifest_for(train_files)
         with Evaluator(tmp_path / "a", workers=2, smoke_test=True) as ev:
