@@ -1,13 +1,32 @@
-/* Compiled greedy reinsertion and detach kernels.
+/* Compiled greedy reinsertion and detach kernels, and numpy's bounded draw.
  *
- * A straight port of ``greedy_insert_scalar`` (with ``commit`` and
- * ``retime``) and of ``remove_ids_scalar`` in ``_kernels.py``: the same
- * loops, the same float expressions in the same order, so that built
- * without contraction or fast-math every result is bit-identical to the
- * Python kernels. ``_kernels.py`` builds this file and compares the
- * library with the Python kernels before using it.
+ * ``rs_remove_ids`` is a straight port of ``remove_ids_scalar`` in
+ * ``_kernels.py``, and ``rs_greedy_insert`` makes the decisions of
+ * ``greedy_insert_scalar`` (with ``commit`` and ``retime``) with a pruned
+ * slot scan: every slot it prices is priced with the same float expressions
+ * in the same order, so that built without contraction or fast-math every
+ * result is bit-identical to the Python kernels, and it skips only slots
+ * that a bound shows cannot win:
  *
- * Each entry point takes one argument block (``rs_args``, mirrored by
+ *  - PCVRP: a customer is committed only when its delta is below 0, so the
+ *    scan starts from that threshold. Every node of a tour, the depot
+ *    included, lies in the tour's coordinate bounding box, so the delta of
+ *    any slot (p, n) of the tour is at least 2 r - e - prize, where r is the
+ *    larger of the customer's gaps to the box along x and along y (a lower
+ *    bound of its distance to the box) and e is the tour's longest edge,
+ *    which d(p, n) cannot exceed. A tour whose bound, less a rounding
+ *    margin, is at or above the best delta so far is skipped. The boxes are
+ *    computed once per call and again for a tour after each commit into it.
+ *  - VRPTW: arrivals only grow along a tour (service times are nonnegative
+ *    and dist satisfies the triangle inequality), so the scan of a tour
+ *    stops at the first slot whose arrival, less a rounding margin, is past
+ *    the customer's window end.
+ *
+ * Both margins are relative to the magnitudes compared, far above the
+ * rounding of the sums they bound. ``_kernels.py`` builds this file and
+ * compares the library with the Python kernels before using it.
+ *
+ * Each kernel takes one argument block (``rs_args``, mirrored by
  * ``_kernels._Args``). ``_kernels.py`` checks each array's dtype,
  * contiguity and shape the first time a call passes it; for a solution's
  * arena views and an instance's read-only views it keeps their addresses
@@ -18,17 +37,34 @@
  * Arrays are C-contiguous: nodes (rows x width, int32), lens (int32),
  * tdem (int64), tcost (float64), estart/lstart (rows x width float64, read
  * only for VRPTW), tour_of (int32), unassigned (bool), dist (m x m
- * float64), demand (int64), service/tws/twe/prize (float64), ids (int64),
- * commits (k x 2 int64).
+ * float64), demand (int64), service/tws/twe/prize (float64), coords (m x 2
+ * float64), ids (int64), commits (k x 2 int64).
  *
- * dist must be exactly symmetric, as ``model.Instance`` builds it
- * (sqrt(dx*dx + dy*dy) of coordinate differences, whose squares do not
- * depend on the sign): the slot scan reads d(prev, c) as d(c, prev) from
- * c's own row instead of a strided column, which the Python kernels read.
+ * dist must be the Euclidean distance matrix of coords, exactly symmetric,
+ * as ``model.Instance`` builds it (sqrt(dx*dx + dy*dy) of coordinate
+ * differences, whose squares do not depend on the sign): the slot scan
+ * reads d(prev, c) as d(c, prev) from c's own row instead of a strided
+ * column, which the Python kernels read.
+ *
+ * ``rs_integers`` is ``numpy.random.Generator.integers(lo, hi)`` for
+ * hi - lo <= 2**32 - 1 (numpy's Lemire rejection on 32-bit draws), drawn
+ * through the generator's own ``bitgen_t``. It takes no lock: the caller
+ * holds the bit generator's lock.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+/* numpy/random/bitgen.h */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
 
 typedef struct {
     int32_t *nodes;
@@ -45,6 +81,7 @@ typedef struct {
     const double *tws;
     const double *twe;
     const double *prize; /* NULL until a reinsertion passes it */
+    const double *coords; /* NULL until a reinsertion passes it */
     int64_t rows, width, m;
     int64_t capacity, problem, has_tw;
     int64_t n_tours;
@@ -158,6 +195,52 @@ int64_t rs_remove_ids(rs_args *a)
     return nt;
 }
 
+/* Whether order[0..k) lists every index set in unassigned[0..m) exactly
+ * once; seen (m bytes, zeroed) marks the ids met. */
+static int is_order(const int64_t *order, int64_t k, const uint8_t *unassigned, int64_t m,
+                    uint8_t *seen)
+{
+    for (int64_t i = 0; i < k; i++) {
+        int64_t c = order[i];
+        if (c < 0 || c >= m || !unassigned[c] || seen[c])
+            return 0;
+        seen[c] = 1;
+    }
+    int64_t count = 0;
+    for (int64_t c = 0; c < m; c++)
+        count += unassigned[c] != 0;
+    return count == k;
+}
+
+/* The PCVRP bound's data of tour row t: box = (x lo, x hi, y lo, y hi) of
+ * the depot's and the customers' coordinates, then the longest edge (the
+ * depot legs included) with its share of the rounding margin. */
+static void tour_box(const int32_t *row, int64_t L, const double *coords, const double *dist,
+                     int64_t m, double *box)
+{
+    double xlo = coords[0], xhi = coords[0], ylo = coords[1], yhi = coords[1];
+    double longest = 0.0;
+    int64_t prev = 0;
+    for (int64_t k = 0; k <= L; k++) {
+        int64_t c = k < L ? row[k] : 0;
+        double x = coords[2 * c], y = coords[2 * c + 1];
+        double edge = dist[prev * m + c];
+        xlo = x < xlo ? x : xlo;
+        xhi = x > xhi ? x : xhi;
+        ylo = y < ylo ? y : ylo;
+        yhi = y > yhi ? y : yhi;
+        longest = edge > longest ? edge : longest;
+        prev = c;
+    }
+    box[0] = xlo;
+    box[1] = xhi;
+    box[2] = ylo;
+    box[3] = yhi;
+    box[4] = (1.0 + 1e-12) * longest;
+}
+
+/* Returns the new tour count; -1 (writing nothing) when the order is not a
+ * permutation of the unassigned set, -2 when scratch memory is short. */
 int64_t rs_greedy_insert(rs_args *a)
 {
     int32_t *nodes = a->nodes, *lens = a->lens, *tour_of = a->tour_of;
@@ -165,7 +248,7 @@ int64_t rs_greedy_insert(rs_args *a)
     double *tcost = a->tcost, *estart = a->estart, *lstart = a->lstart;
     uint8_t *unassigned = a->unassigned;
     const double *dist = a->dist, *service = a->service, *tws = a->tws, *twe = a->twe;
-    const double *prize = a->prize;
+    const double *prize = a->prize, *coords = a->coords;
     const int64_t *demand = a->demand, *order = a->ids;
     int64_t rows = a->rows, width = a->width, m = a->m, k = a->k, capacity = a->capacity;
     int64_t problem = a->problem;
@@ -174,6 +257,26 @@ int64_t rs_greedy_insert(rs_args *a)
     double prize_delta = 0.0;
     int has_tw = problem == 1;
     int pcvrp = problem == 2;
+    a->cost = 0.0;
+    a->recouped = 0.0;
+
+    /* m bytes of ids seen, then (PCVRP) five doubles per tour row */
+    size_t box_bytes = pcvrp ? (size_t)rows * 5 * sizeof(double) : 0;
+    uint8_t *scratch = malloc(box_bytes + (size_t)m);
+    if (scratch == NULL)
+        return -2;
+    double *boxes = (double *)scratch;
+    uint8_t *seen = scratch + box_bytes;
+    memset(seen, 0, (size_t)m);
+    if (!is_order(order, k, unassigned, m, seen)) {
+        free(scratch);
+        return -1;
+    }
+    if (pcvrp) {
+        for (int64_t t = 0; t < nt; t++)
+            tour_box(nodes + t * width, lens[t], coords, dist, m, boxes + 5 * t);
+    }
+
     for (int64_t oi = 0; oi < k; oi++) {
         int64_t c = order[oi];
         commits[2 * oi] = -1;
@@ -183,12 +286,28 @@ int64_t rs_greedy_insert(rs_args *a)
         int64_t dc = demand[c];
         double prz = prize[c];
         const double *dc_row = dist + c * m;
-        double best = INFINITY;
+        double cx = pcvrp ? coords[2 * c] : 0.0, cy = pcvrp ? coords[2 * c + 1] : 0.0;
+        double twe_c = twe[c];
+        /* PCVRP commits only a delta below 0: the scan starts from there */
+        double best = pcvrp ? 0.0 : INFINITY;
         int64_t best_t = -1;
         int64_t best_p = -1;
+        /* the bound's prize and best delta, with their rounding margin */
+        double rest = prz + 1e-12 * fabs(prz);
         for (int64_t t = 0; t < nt; t++) {
             if (tdem[t] + dc > capacity || lens[t] >= width)
                 continue;
+            if (pcvrp) {
+                /* r: the larger gap between c and the box along an axis */
+                const double *box = boxes + 5 * t;
+                double gx = box[0] - cx, ex = cx - box[1];
+                double gy = box[2] - cy, ey = cy - box[3];
+                gx = gx > ex ? gx : ex;
+                gy = gy > ey ? gy : ey;
+                double r = gx > gy ? gx : gy;
+                if (2.0 * (1.0 - 1e-12) * r >= box[4] + rest)
+                    continue;
+            }
             const int32_t *row = nodes + t * width;
             int64_t L = lens[t];
             int64_t prevnode = 0;
@@ -197,8 +316,11 @@ int64_t rs_greedy_insert(rs_args *a)
                 for (int64_t p = 0; p <= L; p++) {
                     int64_t nxt = p < L ? row[p] : 0;
                     double arrive = depart_prev + dc_row[prevnode];
+                    /* late here, so at every later slot of the tour */
+                    if (arrive * (1.0 - 1e-9) > twe_c)
+                        break;
                     double start = arrive > tws[c] ? arrive : tws[c];
-                    int ok = start <= twe[c];
+                    int ok = start <= twe_c;
                     if (ok && p < L) {
                         if (start + service[c] + dc_row[nxt] > lstart[t * width + p])
                             ok = 0;
@@ -226,6 +348,7 @@ int64_t rs_greedy_insert(rs_args *a)
                         best = cand;
                         best_t = t;
                         best_p = p;
+                        rest = prz + best + 1e-12 * (fabs(prz) + fabs(best));
                     }
                     prevnode = nxt;
                 }
@@ -235,7 +358,7 @@ int64_t rs_greedy_insert(rs_args *a)
         if (new_ok && has_tw) {
             double arrive = dist[c];
             double start = arrive > tws[c] ? arrive : tws[c];
-            new_ok = start <= twe[c];
+            new_ok = start <= twe_c;
         }
         if (new_ok) {
             double cand = dist[c] + dc_row[0] - dist[0] - prz;
@@ -246,8 +369,6 @@ int64_t rs_greedy_insert(rs_args *a)
             }
         }
         if (best_t < 0)
-            continue;
-        if (pcvrp && best >= 0.0)
             continue;
         double raw = best + prz;
 
@@ -273,13 +394,35 @@ int64_t rs_greedy_insert(rs_args *a)
         unassigned[c] = 0;
         if (has_tw)
             retime(nodes, lens, estart, lstart, t, width, dist, m, service, tws, twe);
+        if (pcvrp)
+            tour_box(row, lens[t], coords, dist, m, boxes + 5 * t);
 
         cost_delta += raw;
         prize_delta += prz;
         commits[2 * oi] = best_t;
         commits[2 * oi + 1] = best_p;
     }
+    free(scratch);
     a->cost = cost_delta;
     a->recouped = prize_delta;
     return nt;
+}
+
+int64_t rs_integers(bitgen_t *bg, int64_t lo, uint32_t span)
+{
+    /* numpy's random_bounded_uint64_fill for 0 < rng = span - 1 < 0xFFFFFFFF:
+     * buffered_bounded_lemire_uint32; rng 0 draws nothing */
+    uint32_t rng = span - 1;
+    if (rng == 0)
+        return lo;
+    uint64_t m = (uint64_t)bg->next_uint32(bg->state) * span;
+    uint32_t leftover = (uint32_t)m;
+    if (leftover < span) {
+        uint32_t threshold = (UINT32_MAX - rng) % span;
+        while (leftover < threshold) {
+            m = (uint64_t)bg->next_uint32(bg->state) * span;
+            leftover = (uint32_t)m;
+        }
+    }
+    return (int64_t)((uint64_t)lo + (m >> 32));
 }

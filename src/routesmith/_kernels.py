@@ -7,18 +7,28 @@ index and the unassigned mask. Problem codes: 0 = CVRP, 1 = VRPTW,
 2 = PCVRP.
 
 Two backends run the detach (``remove_ids``) and greedy reinsertion
-(``greedy_insert``) kernels. The C backend is ``_kernels.c``, a port of
-``remove_ids_scalar`` and ``greedy_insert_scalar`` with the same float
-expressions in the same order, compiled by the system C compiler without
-contraction or fast-math into a per-user cache (``$XDG_CACHE_HOME`` or
-``~/.cache``, under ``routesmith/``) and loaded with ``ctypes``;
-``load_compiled`` selects it when it loads and agrees bit for bit with the
-Python kernels. Otherwise the interpreted backend runs the scalar Python
-kernels themselves.
+(``greedy_insert``) kernels. The C backend is ``_kernels.c``, compiled by
+the system C compiler without contraction or fast-math into a per-user
+cache (``$XDG_CACHE_HOME`` or ``~/.cache``, under ``routesmith/``) and
+loaded with ``ctypes``. Its detach kernel ports ``remove_ids_scalar`` with
+the same float expressions in the same order. Its reinsertion kernel makes
+the decisions of ``greedy_insert_scalar``, pricing each slot it scans with
+the same expressions, but prunes the scan: it skips a PCVRP tour that a
+bound from ``coords`` shows cannot win, and stops a VRPTW tour's scan at
+the first late arrival. ``greedy_insert_scalar`` stays the unpruned
+reference. Both kernels refuse an order that is not a permutation of the
+unassigned set (``is_order``, no sort): they write nothing and return a
+tour count of -1. The library also draws ``numpy.random.Generator.integers``
+for spans below 2**32 (``integers``), with numpy's Lemire rule on the
+generator's own bits. ``load_compiled`` selects the C backend when the
+library loads, agrees bit for bit with the Python kernels on a detach and
+reinsertion per variant, and draws numpy's numbers on ranges that reject
+often (``_DRAW_CHECKS``); any mismatch selects the interpreted backend,
+where the scalar Python kernels run and numpy draws.
 ``BACKEND`` and ``BACKEND_REASON`` say which one runs and why. C trusts
 its arguments, so the wrappers check every array's dtype, contiguity and
 shape, and that the arrays C writes are writable, before C sees it. Each
-C entry point takes one argument block (``_Args``). A solution's arena
+C kernel takes one argument block (``_Args``). A solution's arena
 views and an instance's read-only views are checked once: a record keeps
 the solution's block, and a later call passing the same array objects,
 still writable where written, sets only the tour count, the ids, k, the
@@ -269,9 +279,12 @@ def greedy_insert_scalar(
     prize,
     problem,
     commits,
+    coords,
 ):
     """Insert customers one by one at their cheapest feasible position.
 
+    ``order`` must list every unassigned customer exactly once; any other
+    order is refused: nothing is written and the tour count returned is -1.
     Scan order is fixed: existing tours ascending, positions ascending,
     then the open-new-tour option; only a strictly smaller delta wins, so
     ties resolve to the lexicographically first (tour, position). Each
@@ -280,8 +293,15 @@ def greedy_insert_scalar(
     negative. ``commits[i]`` receives the chosen (tour, position) or
     (-1, -1).
 
+    This loop prices every slot: it is the reference that the compiled
+    kernel's pruned scan is checked against. ``coords`` (the instance's
+    coordinates, of which ``dist`` is the Euclidean distance matrix) is
+    read only by that pruning.
+
     Returns (new tour count, travel-cost delta, recouped prize total).
     """
+    if not is_order(order, unassigned):
+        return -1, 0.0, 0.0
     nt = n_tours
     cost_delta = 0.0
     prize_delta = 0.0
@@ -327,21 +347,31 @@ def greedy_insert_scalar(
     return nt, cost_delta, prize_delta
 
 
+def is_order(order, unassigned):
+    """Whether the int64 ``order`` lists every index set in ``unassigned``
+    exactly once (no sort)."""
+    m = unassigned.shape[0]
+    if order.size and not (0 <= order.min() and order.max() < m):
+        return False
+    return bool((np.bincount(order, minlength=m) == unassigned).all())
+
+
 def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, order, dist, demand, capacity, service, tws, twe,
-                  prize, problem, commits):
+                  prize, problem, commits, coords):
     """``greedy_insert_scalar`` on the selected backend (same contract).
 
-    On the C backend it is the compiled kernel; interpreted, it is the
-    scalar loop itself. Both agree bit for bit.
+    On the C backend it is the compiled kernel, which makes the same
+    decisions with a pruned scan; interpreted, it is the scalar loop
+    itself. Both agree bit for bit.
     """
     if _compiled is not None:
         return _greedy_insert_c(_compiled[0], nodes, lens, tdem, tcost, estart, lstart,
                                 tour_of, unassigned, n_tours, order, dist, demand, capacity,
-                                service, tws, twe, prize, problem, commits)
+                                service, tws, twe, prize, problem, commits, coords)
     return greedy_insert_scalar(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                                 n_tours, order, dist, demand, capacity, service, tws, twe,
-                                prize, problem, commits)
+                                prize, problem, commits, coords)
 
 
 def remove_ids(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
@@ -353,6 +383,25 @@ def remove_ids(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_
                              tws, twe, has_tw)
     return remove_ids_scalar(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                              n_tours, ids, dist, demand, service, tws, twe, has_tw)
+
+
+def integers(rng, lo, hi):
+    """``int(rng.integers(lo, hi))``: the same value, and the same state of
+    ``rng`` after.
+
+    On the C backend the draw is compiled when ``rng`` is a
+    ``numpy.random.Generator`` and ``lo`` and ``hi`` are ints with
+    ``lo < hi <= lo + 2**32 - 1`` inside int64; anything else goes to numpy,
+    with numpy's exceptions. The compiled draw holds the bit generator's
+    lock, as numpy's does.
+    """
+    if (type(lo) is int and type(hi) is int and 0 < hi - lo <= 0xFFFFFFFF
+            and _INT64_MIN <= lo and hi <= _INT64_END and _draw is not None
+            and type(rng) is np.random.Generator):
+        bits = rng.bit_generator
+        with bits.lock:
+            return _draw(bits.ctypes.bit_generator, lo, hi - lo)
+    return int(rng.integers(lo, hi))
 
 
 # -- the C backend ------------------------------------------------------------
@@ -367,8 +416,12 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # "c" or "interpreted", and why; set by ``load_compiled``.
 BACKEND = "interpreted"
 BACKEND_REASON = "compiled kernels not loaded (lns.warm_kernels was not called)"
-# (rs_greedy_insert, rs_remove_ids) while the C backend is selected
-_compiled = None
+# (rs_greedy_insert, rs_remove_ids) and rs_integers while the C backend is
+# selected
+_compiled = _draw = None
+
+_INT64_MIN = -(1 << 63)
+_INT64_END = 1 << 63  # one past the largest int64
 
 _I32 = np.dtype(np.int32)
 _I64 = np.dtype(np.int64)
@@ -397,7 +450,7 @@ class _Args(ctypes.Structure):
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "nodes", "lens", "tdem", "tcost", "estart", "lstart", "tour_of", "unassigned",
-        "dist", "demand", "service", "tws", "twe", "prize")] + [
+        "dist", "demand", "service", "tws", "twe", "prize", "coords")] + [
         (name, ctypes.c_int64) for name in (
             "rows", "width", "m", "capacity", "problem", "has_tw", "n_tours")] + [
         ("ids", ctypes.c_void_p), ("k", ctypes.c_int64), ("commits", ctypes.c_void_p),
@@ -415,7 +468,7 @@ class _Args(ctypes.Structure):
 # view's current shape, so a recorded address holds while the array lives.
 # A record goes away with the array it is keyed on, and keeps nothing alive.
 _states = {}  # id(nodes) -> (refs, block, rows, m, timing rows full-size)
-_inputs = {}  # id(dist) -> (refs, (addresses, m)); prize's ref is None until a reinsertion
+_inputs = {}  # id(dist) -> (refs, (addresses, m)); prize's and coords' refs are None until a reinsertion
 
 
 def _remember(table, arrays, value):
@@ -435,25 +488,27 @@ def _remember(table, arrays, value):
     table[key] = (refs, *value)
 
 
-def _instance_arrays(dist, demand, service, tws, twe, prize=None):
-    """(addresses, m) of an instance's arrays (``prize`` is None on detach),
-    from their record or from a full check that raises on anything C
-    cannot read."""
+def _instance_arrays(dist, demand, service, tws, twe, prize=None, coords=None):
+    """(addresses, m) of an instance's arrays (``prize`` and ``coords`` are
+    None on detach), from their record or from a full check that raises on
+    anything C cannot read."""
     rec = _inputs.get(id(dist))
     if rec is not None:
         r = rec[0]
         if (r[0]() is dist and r[1]() is demand and r[2]() is service and r[3]() is tws
-                and r[4]() is twe and (prize is None or r[5] is not None and r[5]() is prize)):
+                and r[4]() is twe and (prize is None or r[5] is not None and r[5]() is prize)
+                and (coords is None or r[6] is not None and r[6]() is coords)):
             return rec[1]
     if not isinstance(dist, np.ndarray) or dist.ndim != 2:
         raise InputError("dist: need a 2-D array")
     m = dist.shape[0]
-    arrays = (dist, demand, service, tws, twe, prize)
+    arrays = (dist, demand, service, tws, twe, prize, coords)
     value = tuple(
         None if a is None else _address(name, a, dtype, shape, False)
         for a, (name, dtype, shape) in zip(arrays, (
             ("dist", _F64, (m, m)), ("demand", _I64, (m,)), ("service", _F64, (m,)),
-            ("tws", _F64, (m,)), ("twe", _F64, (m,)), ("prize", _F64, (m,))))
+            ("tws", _F64, (m,)), ("twe", _F64, (m,)), ("prize", _F64, (m,)),
+            ("coords", _F64, (m, 2))))
     ), m
     _remember(_inputs, arrays, (value,))
     return value
@@ -491,7 +546,7 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
     if not 0 <= n_tours <= rows:
         raise InputError(f"n_tours out of range: {n_tours}")
     if blk.inputs is not inputs:
-        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize), _ = inputs
+        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize, blk.coords), _ = inputs
         blk.inputs = inputs
     blk.n_tours = n_tours
     k = ids.shape[0]
@@ -502,16 +557,20 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
 
 def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                      n_tours, order, dist, demand, capacity, service, tws, twe, prize,
-                     problem, commits):
+                     problem, commits, coords):
     if problem not in (CVRP, VRPTW, PCVRP):
         raise InputError(f"unknown problem code: {problem}")
     blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-                 problem == VRPTW, _instance_arrays(dist, demand, service, tws, twe, prize),
+                 problem == VRPTW,
+                 _instance_arrays(dist, demand, service, tws, twe, prize, coords),
                  "order", order)
     blk.commits = _address("commits", commits, _I64, (blk.k, 2), True)
     blk.capacity = capacity
     blk.problem = problem
-    return kernel(blk), blk.cost, blk.recouped
+    nt = kernel(blk)
+    if nt == -2:
+        raise MemoryError("no scratch memory for the reinsertion kernel")
+    return nt, blk.cost, blk.recouped
 
 
 def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
@@ -612,21 +671,29 @@ def _build(cc, key):
 
 
 def _open(path, cases):
-    """The two C kernels of the library at ``path``, once they agree with
-    the Python kernels on every case."""
+    """The C kernels and the draw of the library at ``path``, once the
+    kernels agree with the Python kernels on every case and the draw with
+    numpy."""
     try:
         lib = ctypes.CDLL(str(path))
         kernels = (lib.rs_greedy_insert, lib.rs_remove_ids)
+        # called with the GIL held: a draw is short, and it runs under the
+        # bit generator's lock
+        draw = ctypes.PyDLL(str(path)).rs_integers
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
     for kernel in kernels:
         kernel.argtypes = [ctypes.POINTER(_Args)]
         kernel.restype = ctypes.c_int64
+    draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32]
+    draw.restype = ctypes.c_int64
     for state, ids, inst in cases:
         if _detach_and_reinsert(kernels, state, ids, inst) != _detach_and_reinsert(
                 None, state, ids, inst):
             raise _Unavailable(f"{path} disagrees with the Python kernels")
-    return kernels
+    if _draws(draw) != _draws(None):
+        raise _Unavailable(f"{path} draws other numbers than numpy")
+    return kernels, draw
 
 
 def _detach_and_reinsert(kernels, state, ids, inst):
@@ -638,14 +705,37 @@ def _detach_and_reinsert(kernels, state, ids, inst):
         insert = functools.partial(_greedy_insert_c, kernels[0])
         remove = functools.partial(_remove_ids_c, kernels[1])
     arrays = [a.copy() for a in state[:8]]
-    dist, demand, capacity, service, tws, twe, prize, problem = inst
+    dist, demand, capacity, service, tws, twe, prize, problem, coords = inst
     ids = np.asarray(ids, dtype=np.int64)
     commits = np.empty((ids.size, 2), dtype=np.int64)
     nt, cost = remove(*arrays, state[8], ids, dist, demand, service, tws, twe, problem == VRPTW)
     out = insert(*arrays, nt, np.sort(ids), dist, demand, capacity, service, tws, twe, prize,
-                 problem, commits)
+                 problem, commits, coords)
     values = (nt, cost, *out)
     return [a.tobytes() for a in (*arrays, commits)] + [np.float64(v).tobytes() for v in values]
+
+
+# (lo, hi) of the draws the load-time check compares with numpy: one value,
+# small ranges, ranges where about half of the 32-bit draws are rejected
+# (2**31 + 1 and 3 * 2**30 values), the widest compiled range and the ends
+# of int64
+_DRAW_CHECKS = ((3, 4), (0, 5), (10, 21), (1, (1 << 31) + 2), (0, 3 << 30),
+                (-7, 0xFFFFFFFF - 7), (-(1 << 63), 5 - (1 << 63)), ((1 << 63) - 9, 1 << 63))
+
+
+def _draws(draw):
+    """Each range of ``_DRAW_CHECKS`` drawn 64 times from a fixed generator,
+    with a ``random`` after each range, and the generator's state after:
+    ranges drawn by ``draw`` (rs_integers) when it is given, by numpy
+    otherwise."""
+    rng = np.random.Generator(np.random.PCG64(20240601))
+    bits = rng.bit_generator.ctypes.bit_generator
+    out = []
+    for lo, hi in _DRAW_CHECKS:
+        for _ in range(64):
+            out.append(draw(bits, lo, hi - lo) if draw else int(rng.integers(lo, hi)))
+        out.append(rng.random())
+    return out, rng.bit_generator.state
 
 
 def load_compiled(build, cases):
@@ -653,21 +743,22 @@ def load_compiled(build, cases):
 
     The C backend is the library built from ``_kernels.c`` for this
     source, compiler and flags, kept in the per-user cache. It is used
-    when it loads and, on each of ``cases`` ((solution arrays and tour
+    when it loads, when on each of ``cases`` ((solution arrays and tour
     count, ids to detach, (dist, demand, capacity, service, tws, twe,
-    prize, problem)) tuples), detaches the ids and reinserts them with
-    exactly the bits of the Python kernels. With ``build`` a missing or
+    prize, problem, coords)) tuples) it detaches the ids and reinserts them
+    with exactly the bits of the Python kernels, and when its draws equal
+    numpy's on ``_DRAW_CHECKS``. With ``build`` a missing or
     unusable library is compiled first; without it (evaluation children,
     which run under a memory limit) nothing is ever compiled. Otherwise
     the interpreted kernels run.
     """
-    global BACKEND, BACKEND_REASON, _compiled
+    global BACKEND, BACKEND_REASON, _compiled, _draw
     try:
         cc, key = _library_key()
         why = "no compiled kernels in the cache"
         for path in _cached(key):
             try:
-                _compiled = _open(path, cases)
+                _compiled, _draw = _open(path, cases)
                 BACKEND, BACKEND_REASON = "c", f"loaded {path}"
                 return
             except _Unavailable as exc:
@@ -675,8 +766,8 @@ def load_compiled(build, cases):
         if not build:
             raise _Unavailable(f"{why}; this process does not compile")
         path = _build(cc, key)
-        _compiled = _open(path, cases)
+        _compiled, _draw = _open(path, cases)
         BACKEND, BACKEND_REASON = "c", f"built {path}"
     except _Unavailable as exc:
-        _compiled = None
+        _compiled = _draw = None
         BACKEND, BACKEND_REASON = "interpreted", str(exc)

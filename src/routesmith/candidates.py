@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .errors import InputError
 from .operators import OperatorPair
 
@@ -72,7 +73,8 @@ def check_source(source: str):
 
 def _make_helpers(holder: list):
     def getRandomNumber(lo: int, hi: int) -> int:
-        return int(holder[0].integers(lo, hi + 1))
+        # int(holder[0].integers(lo, hi + 1)), bit for bit
+        return _kernels.integers(holder[0], lo, hi + 1)
 
     def getRandomFraction(lo: float = 0.0, hi: float = 1.0) -> float:
         return float(lo + (hi - lo) * holder[0].random())

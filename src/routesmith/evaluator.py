@@ -244,6 +244,24 @@ def _kill_group(pid: int | None) -> None:
             pass
 
 
+def _ended(sock) -> bool:
+    """Whether a read of no bytes from the SOCK_SEQPACKET socket ``sock``
+    was its end. An empty message and the peer's close both read as no
+    bytes; it is the end once the peer has hung up and no queued message
+    holds a byte (an empty one left carries nothing)."""
+    import array
+    import fcntl
+    import termios
+
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    if not any(events & select.POLLHUP for _, events in poller.poll(0)):
+        return False
+    queued = array.array("i", [0])
+    fcntl.ioctl(sock, termios.FIONREAD, queued)  # the bytes of every queued message
+    return queued[0] == 0
+
+
 def _run_child(
     server: _ChildServer,
     artifact: BuildArtifact,
@@ -257,10 +275,10 @@ def _run_child(
 
     One ``select`` loop in the calling thread reads the child's records (one
     message each on its SOCK_SEQPACKET fd 1) and stderr while it runs, and
-    its exit from the reply socket. A message that is not a JSON object is
-    ignored. Returns (status, result record or None, detail); the detail of
-    a failure ends with the last 8 KiB of stderr, after an error record's
-    message if there is one. An ok record carries the supervisor's
+    its exit from the reply socket. A message that is not a JSON object,
+    the empty message included, is ignored. Returns (status, result record
+    or None, detail); the detail of a failure ends with the last 8 KiB of
+    stderr, after an error record's message if there is one. An ok record carries the supervisor's
     ``timing`` of the child: ``startup_s``, ``run_s`` and ``peak_rss_mb``.
     A server that is gone fails the job; it never raises. A timeout, more
     than ``MAX_CHILD_OUTPUT`` bytes of records and stderr (a record counts
@@ -330,10 +348,11 @@ def _run_child(
             while output <= MAX_CHILD_OUTPUT:
                 if source is out:
                     size = out.recv_into(buffer)
-                    if not size:
-                        return False
                     output += max(size, _RECORD_CHARGE)
-                    take(buffer[:size])
+                    if size:
+                        take(buffer[:size])
+                    elif _ended(out):
+                        return False
                 else:
                     chunk = os.read(err_r, 65536)
                     if not chunk:
@@ -427,13 +446,14 @@ def _run_child(
 class _Evaluation:
     """One artifact on one manifest: job i runs instance i.
 
-    ``jobs`` are the pool's futures; a job returns its outcome, or None when
-    it was dropped. ``label`` formats a job's entry id: ``"inst-{:03d}"``,
-    or ``"smoke"`` for the smoke evaluation. ``first_failure`` is the lowest
-    index of a job that failed so far. A job above it is dropped before it
-    starts, or killed at its supervisor's next tick; lower jobs run on, as
-    one of them may still fail and decide the report. A failed ``gate`` (the
-    smoke evaluation of the same artifact) stops every job.
+    ``jobs`` are the pool's futures until the report is computed; a job
+    returns its outcome, or None when it was dropped. ``label`` formats a
+    job's entry id: ``"inst-{:03d}"``, or ``"smoke"`` for the smoke
+    evaluation. ``first_failure`` is the lowest index of a job that failed
+    so far. A job above it is dropped before it starts, or killed at its
+    supervisor's next tick; lower jobs run on, as one of them may still
+    fail and decide the report. A failed ``gate`` (the smoke evaluation of
+    the same artifact) stops every job.
     """
 
     def __init__(
@@ -461,14 +481,17 @@ class _Evaluation:
         return self.first_failure < index or (self.gate is not None and self.gate.first_failure < math.inf)
 
     def done(self) -> bool:
-        """Every job ended, and so did the gate's."""
-        return all(job.done() for job in self.jobs) and (self.gate is None or self.gate.done())
+        """Reported, or every job ended and so did the gate's."""
+        return self._report is not None or (
+            all(job.done() for job in self.jobs) and (self.gate is None or self.gate.done()))
 
     def report(self) -> EvalReport:
         """Wait for the gate and every job; the gate's failure decides first,
-        then the lowest-index failure, as in a serial run. Computed once."""
+        then the lowest-index failure, as in a serial run. Computed once; the
+        jobs' futures are dropped then, and the evaluation stays done."""
         if self._report is None:
             self._report = self._decide()
+            self.jobs = []
         return self._report
 
     def _decide(self) -> EvalReport:

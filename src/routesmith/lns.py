@@ -19,7 +19,7 @@ import numpy as np
 from . import _kernels
 from .errors import ConfigError, InstanceError, OperatorProtocolError
 from .model import Instance, Problem, Solution, remove_customers, validate
-from .util import OBJECTIVE_EPS, make_rng, plain_ints
+from .util import OBJECTIVE_EPS, int64_array, make_rng, plain_ints
 
 
 @dataclass
@@ -149,16 +149,16 @@ def sanitize_order(order, removed) -> np.ndarray:
     int64 array. Idempotent.
 
     When ``removed`` is an ascending, duplicate-free int64 array (as
-    ``run`` passes it), a list or array that is already an int64
-    permutation of it is copied into the result without a loop.
+    ``run`` passes it), a list whose ``int()`` values, or an int64 array
+    whose values, are already a permutation of it are copied into the
+    result without a loop (a list in one conversion, ``int64_array``).
     """
-    if type(order) in (list, np.ndarray) and isinstance(removed, np.ndarray):
-        try:
-            arr = np.array(order)
-        except (TypeError, ValueError, OverflowError):
-            arr = None
-        if (arr is not None and arr.dtype == np.int64 and arr.ndim == 1
-                and arr.shape == removed.shape):
+    if isinstance(removed, np.ndarray):
+        if type(order) is np.ndarray:
+            arr = order.copy() if order.dtype == np.int64 else None
+        else:
+            arr = int64_array(order)
+        if arr is not None and arr.shape == removed.shape:
             ranked = arr.copy()
             ranked.sort()
             # equal bytes: ``removed`` holds these int64 values, ascending
@@ -195,9 +195,12 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
     """Reinsert customers one by one at their locally optimal position.
 
     ``order`` must be a permutation of the partial solution's unassigned
-    set; a 1-D int64 array is used as it is. Every position of every tour
-    plus the open-new-tour option is evaluated; the minimum finite delta
-    wins, ties broken by (lower tour index, lower position). PCVRP
+    set; a 1-D int64 array is used as it is, anything else is converted
+    once. The kernel checks the order and refuses any other one without
+    writing, which raises OperatorProtocolError here. Of every position of
+    every tour plus the open-new-tour option, the minimum finite delta
+    wins, ties broken by (lower tour index, lower position); the compiled
+    kernel skips only positions that a bound shows cannot win. PCVRP
     customers are committed only when their prize-adjusted delta is
     strictly negative.
 
@@ -210,10 +213,6 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
         order_arr = np.ascontiguousarray(order)
     else:
         order_arr = np.asarray(list(order), dtype=np.int64)
-    if not _is_permutation(order_arr, partial._unassigned):
-        raise OperatorProtocolError("order is not a permutation of the unassigned set")
-    if order_arr.size == 0:
-        return partial
     commits = np.empty((order_arr.size, 2), dtype=np.int64)
     nt, cost_delta, prize_delta = _kernels.greedy_insert(
         partial._nodes,
@@ -235,7 +234,10 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
         inst.prize,
         inst.problem.code,
         commits,
+        inst.coords,
     )
+    if nt < 0:  # the kernel refused the order and wrote nothing
+        raise OperatorProtocolError("order is not a permutation of the unassigned set")
     partial.n_tours = int(nt)
     partial._total_cost += float(cost_delta)
     partial._prize_penalty -= float(prize_delta)
@@ -244,13 +246,6 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
             (int(c), int(t), int(p)) for c, (t, p) in zip(order_arr, commits)
         )
     return partial
-
-
-def _is_permutation(ids: np.ndarray, mask: np.ndarray) -> bool:
-    """Whether the int64 ``ids`` list every index set in ``mask`` exactly once."""
-    ranked = ids.copy()
-    ranked.sort()
-    return ranked.tobytes() == mask.nonzero()[0].astype(np.int64, copy=False).tobytes()
 
 
 def sa_temperature(t_initial: float, t_final: float, fraction: float) -> float:
@@ -282,7 +277,8 @@ def warm_kernels(build: bool = True) -> None:
     ``_kernels.load_compiled`` loads the compiled kernels from the cache
     (compiling them first when ``build`` is set and they are missing) and
     checks them bit for bit against the Python kernels on a 3-customer
-    instance per variant; otherwise the interpreted kernels run. Call it
+    instance per variant, and its draws against numpy; otherwise the
+    interpreted kernels run. Call it
     before any clock starts: a cold build takes a fraction of a second, a
     warm load a few milliseconds. Evaluation children pass ``build=False``
     so that they only ever load. Only the first call per process does work.
@@ -309,7 +305,7 @@ def warm_kernels(build: bool = True) -> None:
              sol._tour_of, sol._unassigned, sol.n_tours),
             [1, 2],
             (inst.dist, inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end,
-             inst.prize, problem.code),
+             inst.prize, problem.code, inst.coords),
         ))
     _kernels.load_compiled(build, cases)
     _warmed = True

@@ -76,11 +76,17 @@ _PROBLEM_CODES = {Problem.CVRP: 0, Problem.VRPTW: 1, Problem.PCVRP: 2}
 class Instance:
     """Immutable problem data. Node 0 is the depot; customers are 1..n.
 
-    Distances are full-precision Euclidean values computed once into a
-    dense matrix; adjacency[i] lists all other nodes sorted ascending by
-    distance from i (stable on ties). The matrix is exactly symmetric:
-    d(i, j) and d(j, i) square the same coordinate differences up to sign.
-    The compiled insertion scan relies on this (``_kernels.c``).
+    Distances are full-precision Euclidean values of ``coords`` computed
+    once into a dense matrix; adjacency[i] lists all other nodes sorted
+    ascending by distance from i (stable on ties). The matrix is exactly
+    symmetric: d(i, j) and d(j, i) square the same coordinate differences
+    up to sign. Being Euclidean, it satisfies the triangle inequality up to
+    rounding. The compiled insertion scan relies on all three
+    (``_kernels.c``): it reads d(c, prev) for d(prev, c), it bounds a PCVRP
+    tour's insertion deltas from ``coords`` (the customer's gap to the
+    tour's bounding box), and it stops a VRPTW tour's scan at the first
+    arrival past the window, since with nonnegative service times arrivals
+    only grow along a tour.
     """
 
     __slots__ = (
@@ -150,6 +156,8 @@ class Instance:
                     raise InstanceError(f"{name} must have one entry per node")
             if np.any(self.tw_start[1:] > self.tw_end[1:]):
                 raise InstanceError("tw_start must not exceed tw_end")
+            if np.any(self.service < 0):
+                raise InstanceError("service times must be nonnegative")
         else:
             self.service = zeros
             self.tw_start = zeros

@@ -13,9 +13,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from .errors import ConfigError
 from .model import Instance, Solution
-from .util import plain_ints
+from .util import int64_array, plain_ints
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,7 @@ def seed_random_remove(instance: Instance, solution: Solution, rng) -> list[int]
     assigned = solution.assigned_ids()
     if assigned.size == 0:
         return []
-    k = int(rng.integers(10, 21))
-    k = min(k, assigned.size)
+    k = min(_kernels.integers(rng, 10, 21), assigned.size)
     # the draws, values and dtype of rng.choice(assigned, size=k, replace=False)
     return assigned[rng.choice(assigned.size, size=k, replace=False)].tolist()
 
@@ -73,8 +73,9 @@ def string_remove(
     assigned = solution.assigned_ids()
     if assigned.size == 0:
         return []
-    target = int(rng.integers(max(1, params.avg_removed // 2), params.avg_removed * 2))
-    seed = int(assigned[int(rng.integers(assigned.size))])
+    # _kernels.integers(rng, lo, hi) is int(rng.integers(lo, hi)), bit for bit
+    target = _kernels.integers(rng, max(1, params.avg_removed // 2), params.avg_removed * 2)
+    seed = int(assigned[_kernels.integers(rng, 0, assigned.size)])
 
     removed: list[int] = []
     hit_tours: set[int] = set()
@@ -94,9 +95,9 @@ def string_remove(
             if t in hit_tours:
                 continue
             tour = solution.tour_customers(t)
-            length = int(rng.integers(1, min(params.max_string_len, len(tour)) + 1))
+            length = _kernels.integers(rng, 1, min(params.max_string_len, len(tour)) + 1)
             pos = tour.index(c)
-            lo = max(0, min(pos - int(rng.integers(length)), len(tour) - length))
+            lo = max(0, min(pos - _kernels.integers(rng, 0, length), len(tour) - length))
             removed.extend(tour[lo : lo + length])
             hit_tours.add(t)
             # only a new string changes what stops the walk
@@ -110,17 +111,19 @@ _SORT_KEYS = ("demand_desc", "depot_distance_desc", "random")
 
 def sort_by_key(instance: Instance, ids, solution: Solution, rng, key: str) -> list[int]:
     """Stable sort of ids by the named key; ties fall back to ascending id."""
-    out = list(ids) if plain_ints(ids) else [int(c) for c in ids]
     if key == "random":
+        out = list(ids) if plain_ints(ids) else [int(c) for c in ids]
         rng.shuffle(out)
         return out
+    arr = int64_array(ids)
+    if arr is None:
+        arr = np.array([int(c) for c in ids], dtype=np.int64)
     if key == "demand_desc":
         values = instance.demand
     elif key == "depot_distance_desc":
         values = instance.dist[0]
     else:
         raise ConfigError(f"unknown sort key: {key!r}")
-    arr = np.array(out, dtype=np.int64)
     return arr[np.lexsort((arr, -values[arr]))].tolist()
 
 

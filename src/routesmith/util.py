@@ -43,6 +43,26 @@ def plain_ints(seq) -> bool:
     return type(seq) is list and set(map(type, seq)) <= {int}
 
 
+def int64_array(seq) -> np.ndarray | None:
+    """``seq``, a list, as a 1-D int64 array in one conversion; None for
+    anything else, or when the conversion fails or is not 1-D.
+
+    numpy converts each element as ``int()`` does (floats truncate, numeric
+    strings parse, an int subclass's ``__int__`` is called) and raises where
+    the value does not fit in int64, so the values equal ``int()``'s. The
+    exception is an element that is itself a 0-d array, which numpy casts as
+    an array: a uint64 above 2**63 wraps, a NaN or out-of-range float becomes
+    the lowest int64 and a complex loses its imaginary part.
+    """
+    if type(seq) is not list:
+        return None
+    try:
+        arr = np.array(seq, dtype=np.int64)
+    except Exception:  # the caller's own loop decides what to do with it
+        return None
+    return arr if arr.ndim == 1 else None
+
+
 def count_lines(source: str) -> int:
     """Number of non-empty lines after trimming trailing whitespace."""
     return sum(1 for line in source.splitlines() if line.rstrip())

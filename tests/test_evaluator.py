@@ -131,6 +131,28 @@ RAW_TEXT = 'import os\nos.write(1, b"not json")\n' + SEED_SOURCE
 # decoder recurses
 DEEP_JSON = 'import os\nos.write(1, b"[" * 100_000)\n' + SEED_SOURCE
 
+# the seed candidate, after an empty message on fd 1 at load and on every
+# call: before its ready and result records
+QUIET = 'import os\nos.write(1, b"")\n' + SEED_SOURCE.replace(
+    "    return list(selected)", '    os.write(1, b"")\n    return list(selected)'
+)
+
+# closes its record socket, then runs for a second before it fails
+CLOSER = """\
+import os
+import time
+
+
+def select_by_llm_1(sol):
+    os.close(1)
+    time.sleep(1.0)
+    return [1]
+
+
+def sort_by_llm_1(customers, instance):
+    pass
+"""
+
 GARBAGE_EXIT = """\
 import os
 import sys
@@ -429,6 +451,7 @@ class TestEvaluate:
             pytest.param(LOUD_LOADER, id="stderr-at-load"),
             pytest.param(RAW_TEXT, id="non-json-on-fd1"),
             pytest.param(DEEP_JSON, id="deep-json-on-fd1"),
+            pytest.param(QUIET, id="empty-on-fd1"),
         ],
     )
     def test_non_protocol_output_is_ignored(self, tmp_path, train_files, source):
@@ -446,6 +469,19 @@ class TestEvaluate:
         assert head == "exit code 1"
         assert tail.endswith("candidate quit\n")
         assert len(tail.encode()) == 8192  # the last 8 KiB of 200 KB
+
+    def test_closed_record_socket_fails_without_spinning(self, tmp_path, train_files):
+        """The close reads as the end of the records, not as an endless run
+        of empty messages: the supervisor stops reading the socket and waits
+        for the child's exit."""
+        ev = Evaluator(tmp_path, smoke_test=False)
+        ev.start()
+        started, cpu = time.monotonic(), time.process_time()
+        report = ev.evaluate_source(CLOSER, manifest_for(train_files[:1]))
+        cpu, elapsed = time.process_time() - cpu, time.monotonic() - started
+        assert report.status == "runtime_error", report.build_log[:500]
+        assert elapsed < 30
+        assert cpu < 0.5 * elapsed, (cpu, elapsed)
 
     def test_garbage_then_exit_is_invalid_output(self, tmp_path, train_files):
         ev = Evaluator(tmp_path, smoke_test=False)
@@ -927,6 +963,15 @@ class TestBatch:
             plain = ev.evaluate_source(SEED_SOURCE, m)
         assert prefetched.ok
         assert _summary(prefetched) == _summary(plain)
+
+    def test_reported_evaluation_holds_no_futures(self, tmp_path, train_files):
+        m = manifest_for(train_files)
+        with Evaluator(tmp_path, workers=2, smoke_test=True) as ev:
+            assert ev.evaluate_source(SEED_SOURCE, m).ok
+            evaluations = list(ev._evaluations.values())
+            assert len(evaluations) == 2  # the smoke gate and the training runs
+            assert all(e.jobs == [] and e.done() for e in evaluations)
+            assert ev.evaluate_source(SEED_SOURCE, m).ok  # a memo hit
 
     def test_close_stops_prefetched_jobs(self, tmp_path, train_files):
         pid_dir = tmp_path / "pids"

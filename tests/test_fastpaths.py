@@ -6,7 +6,9 @@ already a permutation of an ascending ``removed`` array. ``sort_by_key``
 sorts with ``np.lexsort``, ``string_remove`` walks only the served
 neighbours of its seed, a short block first and then the rest at once,
 ``remove_customers`` leaves unassigned ids to the detach kernel, which
-skips them, and ``greedy_reinsert`` checks its order with one sort.
+skips them, and the reinsertion kernels check the order without a sort
+(on both backends). ``sort_by_key`` and ``sanitize_order`` convert a list
+once (``int64_array``), with the values ``int()`` gives.
 ``seed_random_remove`` draws indices into ``assigned_ids()``, which scans
 from the depot, and ``initial_solution`` writes its singleton rows as
 arrays. Each must return exactly what the reference kept here returns (the
@@ -32,7 +34,7 @@ from routesmith.operators import (
     sort_by_key,
     string_remove,
 )
-from routesmith.util import make_rng
+from routesmith.util import int64_array, make_rng
 
 
 def reference_removal(ids, solution):
@@ -387,19 +389,91 @@ def test_initial_solution_waits_and_ties_like_retime():
     assert mine._arena.tobytes() == ref._arena.tobytes()
 
 
-def test_reinsert_refuses_every_non_permutation(gen):
+def test_reinsert_refuses_every_non_permutation(gen, monkeypatch):
+    """On each backend the kernel checks the order: anything but a
+    permutation of the unassigned set is refused, the kernel writes nothing
+    (not even the commits), and ``greedy_reinsert`` raises."""
     inst = gen(n=6, seed=7)
     sol = initial_solution(inst)
     remove_customers(sol, [2, 4])
+    m = inst.num_customers + 1
     # -3 and -5 would index customers 4 and 2 from the end
-    for order in ([2, 2], [4, 4], [0, 2], [2, 7], [2, -3], [-5, 4], [2], [2, 4, 4], [6, 2],
-                  [2, 4, 2**40], []):
-        for given_as in (list, lambda o: np.array(o, dtype=np.int64)):
+    refused = ([2, 2], [4, 4], [0, 2], [2, 0, 4], [2, m], [2, -1], [2, -3], [-5, 4], [2], [4],
+               [2, 4, 4], [6, 2], [2, 4, 2**40], [4, 2**40], [])
+    backends = [None] + ([_kernels._compiled] if _kernels.BACKEND == "c" else [])
+    for compiled in backends:
+        monkeypatch.setattr(_kernels, "_compiled", compiled)
+        for order in refused:
+            for given_as in (list, lambda o: np.array(o, dtype=np.int64)):
+                s = sol.clone()
+                before = s._arena.tobytes(), s.n_tours, s._total_cost, s._prize_penalty
+                with pytest.raises(OperatorProtocolError, match="permutation"):
+                    greedy_reinsert(s, given_as(order))
+                assert (s._arena.tobytes(), s.n_tours, s._total_cost, s._prize_penalty) == before
+            s = sol.clone()
+            before = s._arena.tobytes()
+            commits = np.full((len(order), 2), 7, dtype=np.int64)
+            out = _kernels.greedy_insert(
+                s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart, s._tour_of,
+                s._unassigned, s.n_tours, np.array(order, dtype=np.int64), inst.dist,
+                inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end, inst.prize,
+                inst.problem.code, commits, inst.coords)
+            assert out == (-1, 0.0, 0.0)
+            assert s._arena.tobytes() == before and (commits == 7).all()
+        for order in ([3], np.array([3], dtype=np.int64)):
             with pytest.raises(OperatorProtocolError, match="permutation"):
-                greedy_reinsert(sol.clone(), given_as(order))
-    for order in ([3], np.array([3], dtype=np.int64)):
-        with pytest.raises(OperatorProtocolError, match="permutation"):
-            greedy_reinsert(Solution.from_tours(inst, [list(range(1, 7))]), order)
-    for order in ([2, 4], [4, 2], np.array([4, 2]), np.array([4, 9, 2, 9], dtype=np.int64)[::2],
-                  np.array([2, 4], dtype=np.int32)):
-        assert greedy_reinsert(sol.clone(), order).num_unassigned == 0
+                greedy_reinsert(Solution.from_tours(inst, [list(range(1, 7))]), order)
+        for order in ([2, 4], [4, 2], np.array([4, 2]),
+                      np.array([4, 9, 2, 9], dtype=np.int64)[::2], np.array([2, 4], dtype=np.int32)):
+            assert greedy_reinsert(sol.clone(), order).num_unassigned == 0
+        full = Solution.from_tours(inst, [list(range(1, 7))])
+        assert greedy_reinsert(full, []) is full
+
+
+class _Twisted(int):
+    """An int whose ``int()`` is another number."""
+
+    def __int__(self):
+        return int.__int__(self) * 7 + 1
+
+
+_NUMPY_INTS = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+# the elements an operator may hand back, numpy scalars of every kind
+# included; not 0-d arrays, which numpy casts as arrays (see int64_array)
+any_item = st.one_of(
+    st.integers(),
+    st.integers(-(2**63), 2**63 - 1),
+    st.booleans(),
+    st.floats(),
+    st.floats(-(2.0**64), 2.0**64),
+    st.sampled_from(_NUMPY_INTS).flatmap(
+        lambda t: st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)),
+    st.sampled_from((np.float16, np.float32, np.float64)).flatmap(
+        lambda t: st.floats(width=np.finfo(t).bits).map(t)),
+    st.floats().map(np.longdouble),
+    st.integers(-(10**20), 10**20).map(str),
+    st.integers(-99, 99).map(lambda v: f" {v}_0 ".encode()),
+    st.integers(-99, 99).map(_Twisted),
+    st.lists(st.integers(0, 5), max_size=2),
+    st.sampled_from(["x", "1.5", None, 1 + 2j, np.bool_(True)]),
+)
+
+
+def int_or_error(item):
+    try:
+        return int(item)
+    except Exception as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(any_item, max_size=12))
+def test_int64_array_matches_int(items):
+    """``sort_by_key`` and ``sanitize_order`` convert a list at once; where
+    that succeeds, every value is what ``int()`` makes of the element."""
+    arr = int64_array(items)
+    if arr is None:
+        return
+    assert arr.dtype == np.int64 and arr.shape == (len(items),)
+    assert arr.tolist() == [int_or_error(item) for item in items]
+    assert int64_array(tuple(items)) is None and int64_array(arr) is None

@@ -4,7 +4,9 @@ The compiled kernels of ``_kernels.c``, and whichever kernel
 ``_kernels.greedy_insert`` selects, must make exactly the decisions of the
 scalar references ``_kernels.greedy_insert_scalar`` and
 ``_kernels.remove_ids_scalar``: same mutated arrays, same commits, same
-returned counts and sums, bit for bit. The public primitives
+returned counts and sums, bit for bit. The compiled reinsertion scan is
+pruned and the scalar one is not, so parity also holds on cases built on
+the edges of its bounds. The compiled draws must equal numpy's. The public primitives
 ``model.insertion_delta`` and ``model.insert_customer`` must choose and
 commit a customer exactly as one step of the scalar kernel.
 """
@@ -24,7 +26,7 @@ from hypothesis import strategies as st
 
 from routesmith import _kernels, lns
 from routesmith.cli import main as cli_main
-from routesmith.errors import InputError
+from routesmith.errors import InputError, InstanceError
 from routesmith.instances import GenParams, generate, save
 from routesmith.model import Instance, Problem, Solution, insert_customer, insertion_delta
 from routesmith.operators import builtin_pair
@@ -32,7 +34,7 @@ from routesmith.operators import builtin_pair
 VARIANTS = (Problem.CVRP, Problem.VRPTW, Problem.PCVRP)
 
 
-def make_case(problem, n, seed, lattice, tight, max_demand, spare):
+def make_case(problem, n, seed, lattice, tight, max_demand, spare, scale=1.0, rich=False):
     """A partial solution and a reinsertion order, drawn from ``seed``.
 
     On a lattice, coordinates, service times, windows and prizes are
@@ -41,6 +43,9 @@ def make_case(problem, n, seed, lattice, tight, max_demand, spare):
     exactly 0. Tight windows reject most VRPTW slots; small prizes make
     PCVRP skip customers. Unit demands make the width bound equal the
     capacity (``max_demand + spare``), so full tours sit at the width bound.
+    ``scale`` multiplies every coordinate, time and prize. ``rich`` prizes,
+    four times larger, make most PCVRP customers worth serving, so the
+    best delta of a customer's scan often falls below 0.
     """
     rng = np.random.default_rng(seed)
     capacity = max_demand + spare
@@ -48,8 +53,8 @@ def make_case(problem, n, seed, lattice, tight, max_demand, spare):
 
     def draw(size, top):
         if lattice:
-            return rng.integers(0, 4 * top + 1, size=size) / 4.0
-        return rng.random(size) * top
+            return rng.integers(0, 4 * top + 1, size=size) / 4.0 * scale
+        return rng.random(size) * top * scale
 
     coords = draw((m, 2), 0.75)
     demand = np.concatenate(([0], rng.integers(1, max_demand + 1, size=n)))
@@ -57,8 +62,8 @@ def make_case(problem, n, seed, lattice, tight, max_demand, spare):
     d0 = np.hypot(coords[1:, 0] - coords[0, 0], coords[1:, 1] - coords[0, 1])
     tw_start = np.concatenate(([0.0], draw(n, 1.5)))
     slack = draw(n, 0.05 if tight else 2.0)
-    tw_end = np.concatenate(([10.0], np.maximum(d0, tw_start[1:]) + slack))
-    prize = np.concatenate(([0.0], draw(n, 0.5)))
+    tw_end = np.concatenate(([10.0 * scale], np.maximum(d0, tw_start[1:]) + slack))
+    prize = np.concatenate(([0.0], draw(n, 2.0 if rich else 0.5)))
     inst = Instance(problem, coords, demand, capacity, service=service,
                     tw_start=tw_start, tw_end=tw_end, prize=prize)
 
@@ -122,6 +127,7 @@ def call(kernel, sol, order):
         s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart, s._tour_of,
         s._unassigned, s.n_tours, order, inst.dist, inst.demand, inst.capacity,
         inst.service, inst.tw_start, inst.tw_end, inst.prize, inst.problem.code, commits,
+        inst.coords,
     )
     arrays = (s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart,
               s._tour_of, s._unassigned, commits)
@@ -154,12 +160,12 @@ case_args = st.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(case_args, st.integers(0, 2**32 - 1))
-def test_compiled_kernels_match_scalar_kernels(args, seed):
+@given(case_args, st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_kernels_match_scalar_kernels(args, seed, rich):
     """Detach draws ids from every customer, so already unassigned ones
     are skipped, and emptied tours are swap-deleted."""
     needs_c()
-    sol, order = make_case(*args)
+    sol, order = make_case(*args, rich=rich)
     assert call(_kernels.greedy_insert, sol, order) == call(
         _kernels.greedy_insert_scalar, sol, order)
     rng = np.random.default_rng(seed)
@@ -167,6 +173,180 @@ def test_compiled_kernels_match_scalar_kernels(args, seed):
     ids = rng.permutation(np.arange(1, n + 1))[: rng.integers(0, n + 1)]
     assert call_remove(_kernels.remove_ids, sol, ids) == call_remove(
         _kernels.remove_ids_scalar, sol, ids)
+
+
+def slot_values(sol, c, t, p):
+    """(delta before the prize, VRPTW arrival) of customer c at slot p of
+    tour t (t == n_tours: a new tour), with the float expressions of the
+    scan."""
+    inst = sol.instance
+    dist = inst.dist
+    prev = nxt = 0
+    depart = 0.0
+    if t < sol.n_tours:
+        L = int(sol._lens[t])
+        prev = int(sol._nodes[t, p - 1]) if p > 0 else 0
+        nxt = int(sol._nodes[t, p]) if p < L else 0
+        if p > 0 and inst.problem is Problem.VRPTW:
+            depart = sol._estart[t, p - 1] + inst.service[prev]
+    return dist[prev, c] + dist[c, nxt] - dist[prev, nxt], depart + dist[prev, c]
+
+
+def tightened(sol, order, seed):
+    """``sol`` on a copy of its instance where each customer of ``order``
+    sits exactly on a decision edge at one slot: a PCVRP prize equal to the
+    slot's delta (the delta is then exactly 0), or a VRPTW window ending
+    exactly at the slot's arrival; some are moved one ulp either way."""
+    inst = sol.instance
+    rng = np.random.default_rng(seed)
+    prize, tws, twe = inst.prize.copy(), inst.tw_start.copy(), inst.tw_end.copy()
+    for c in order.tolist():
+        t = int(rng.integers(sol.n_tours + 1))
+        p = int(rng.integers(int(sol._lens[t]) + 1)) if t < sol.n_tours else 0
+        delta, arrival = slot_values(sol, c, t, p)
+        nudge = rng.choice((-np.inf, np.inf, 0.0, 0.0))
+        if inst.problem is Problem.PCVRP and delta >= 0.0:
+            prize[c] = max(np.nextafter(delta, nudge), 0.0) if nudge else delta
+        elif inst.problem is Problem.VRPTW:
+            twe[c] = np.nextafter(arrival, nudge) if nudge else arrival
+            tws[c] = min(tws[c], twe[c])
+    tight = Instance(inst.problem, inst.coords, inst.demand, inst.capacity, service=inst.service,
+                     tw_start=tws, tw_end=twe, prize=prize)
+    tours = [sol.tour_customers(t) for t in range(sol.n_tours)]
+    return Solution.from_tours(tight, tours, unassigned=order.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((Problem.VRPTW, Problem.PCVRP)), st.integers(1, 14),
+       st.integers(0, 2**32 - 1), st.booleans(), st.booleans(), st.sampled_from((1, 1, 3)),
+       st.integers(0, 7), st.sampled_from((1.0, 1e4, 1e-4)))
+def test_pruned_scan_matches_on_the_decision_edges(problem, n, seed, lattice, tight,
+                                                   max_demand, spare, scale):
+    """The compiled scan skips PCVRP tours by a bound and stops VRPTW tours
+    at a late arrival; it makes the scalar kernel's decisions where deltas
+    are exactly 0 (prize equal to a slot's delta) or a hair either side,
+    where windows end exactly at an arrival or a hair either side, and with
+    coordinates scaled by 1e4 or 1e-4."""
+    needs_c()
+    sol, order = make_case(problem, n, seed, lattice, tight, max_demand, spare, scale)
+    sol = tightened(sol, order, seed)
+    assert call(_kernels.greedy_insert, sol, order) == call(
+        _kernels.greedy_insert_scalar, sol, order)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e-4])
+@pytest.mark.parametrize("side", [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)])
+def test_pcvrp_bound_is_tight_where_it_should_be(scale, side):
+    """Where the tour's bound is exact, a tour that wins by one ulp is not
+    skipped. Tour 0 holds one customer on top of the depot (its longest edge
+    is 0), and customer 2 lies off the depot along an axis, so the bound of
+    tour 0 is the delta of each of its slots, which a new tour costs too:
+    with a prize one ulp above that delta customer 2 joins tour 0; at the
+    delta and one ulp below it stays out. Off a diagonal the bound is loose."""
+    needs_c()
+    depot = np.array([0.3, 0.7]) * scale
+    coords = [depot, depot, depot + 0.15 * scale * np.array(side)]
+    dist = Instance(Problem.PCVRP, coords, [0, 1, 1], 5, prize=[0.0] * 3).dist
+    delta = dist[0, 2] + dist[2, 1] - dist[0, 1]
+    for prize, expected in ((np.nextafter(delta, np.inf), 0), (delta, -1),
+                            (np.nextafter(delta, 0.0), -1)):
+        inst = Instance(Problem.PCVRP, coords, [0, 1, 1], 5, prize=[0.0, 1.0, prize])
+        sol = Solution.from_tours(inst, [[1]], unassigned=[2])
+        order = np.array([2], dtype=np.int64)
+        out = call(_kernels.greedy_insert, sol, order)
+        assert out == call(_kernels.greedy_insert_scalar, sol, order)
+        assert np.frombuffer(out[0][-1], dtype=np.int64)[0] == expected
+
+
+def test_decision_edges_are_reached():
+    """The cases above commit a PCVRP customer whose delta is exactly 0
+    only after others, skip ones at exactly 0, and fit a VRPTW customer
+    whose window ends exactly at its arrival."""
+    found = set()
+    for seed in range(200):
+        for problem in (Problem.VRPTW, Problem.PCVRP):
+            sol, order = make_case(problem, 6, seed, False, False, 1, 3)
+            if not order.size:
+                continue
+            sol = tightened(sol, order, seed)
+            c = int(order[0])
+            inst = sol.instance
+            arrays, _ = call(_kernels.greedy_insert_scalar, sol, order)
+            t, p = np.frombuffer(arrays[-1], dtype=np.int64)[:2].tolist()
+            for u in range(sol.n_tours + 1):
+                for q in range(int(sol._lens[u]) + 1 if u < sol.n_tours else 1):
+                    delta, arrival = slot_values(sol, c, u, q)
+                    if problem is Problem.PCVRP and delta - inst.prize[c] == 0.0:
+                        found.add("PCVRP delta exactly 0")
+                    if (problem is Problem.VRPTW and arrival == inst.tw_end[c]
+                            and (u, q) == (t, p)):
+                        found.add("VRPTW commit arriving at the window end")
+    assert found == {"PCVRP delta exactly 0", "VRPTW commit arriving at the window end"}
+
+
+def test_instances_refuse_negative_service():
+    """The VRPTW scan stops at a late arrival because arrivals only grow
+    along a tour, which needs service times of at least 0."""
+    with pytest.raises(InstanceError, match="service"):
+        Instance(Problem.VRPTW, [(0, 0), (1, 0)], [0, 1], 1, service=[0.0, -0.1],
+                 tw_start=[0.0, 0.0], tw_end=[9.0, 9.0])
+
+
+# spans of integers(lo, lo + span): one value, small ones, ones where numpy
+# rejects about half of its 32-bit draws, the widest compiled span, and
+# wider ones, which numpy draws itself
+SPANS = st.one_of(st.sampled_from((1, 2, 3, 10, 2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32, 2**40)),
+                  st.integers(1, 2**32 - 1))
+DRAW = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-(2**63), 2**63 - 1), SPANS),
+    st.tuples(st.sampled_from(("random", "shuffle", "choice", "uint32")), st.just(0), st.just(1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(DRAW, max_size=40))
+def test_compiled_draws_match_numpy(seed, draws):
+    """``_kernels.integers`` equals ``int(rng.integers(lo, hi))`` and leaves
+    the generator where numpy leaves it, between numpy's own draws (which
+    share its buffered 32-bit half)."""
+    needs_c()
+    assert _kernels._draw is not None
+    mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    for kind, lo, span in draws:
+        if kind == "integers":
+            hi = min(lo + span, 2**63)
+            assert _kernels.integers(mine, lo, hi) == int(ref.integers(lo, hi))
+        elif kind == "random":
+            assert mine.random() == ref.random()
+        elif kind == "shuffle":
+            a, b = list(range(9)), list(range(9))
+            mine.shuffle(a)
+            ref.shuffle(b)
+            assert a == b
+        elif kind == "choice":
+            assert mine.choice(50, size=7, replace=False).tolist() == ref.choice(
+                50, size=7, replace=False).tolist()
+        else:
+            assert mine.integers(2**32, dtype=np.uint32) == ref.integers(2**32, dtype=np.uint32)
+    assert mine.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 5), (5, 4), (2.0, 9), (0, 7.5), (True, 4),
+                                    (np.int64(1), 9), (1, np.int64(9)), (-(2**63) - 1, 0),
+                                    (0, 2**63 + 1), ("1", 3), (0, 2**40)])
+def test_other_draws_go_to_numpy(lo, hi):
+    """Anything but int bounds of a compiled span draws, or raises, as numpy."""
+    mine, ref = np.random.default_rng(3), np.random.default_rng(3)
+
+    def outcome(draw):
+        try:
+            return draw()
+        except Exception as exc:
+            return type(exc)
+
+    assert outcome(lambda: _kernels.integers(mine, lo, hi)) == outcome(
+        lambda: int(ref.integers(lo, hi)))
+    assert mine.bit_generator.state == ref.bit_generator.state
 
 
 STATE = ("_nodes", "_lens", "_tdem", "_tcost", "_estart", "_lstart", "_tour_of", "_unassigned")
@@ -179,7 +359,7 @@ def insert_direct(s, order, **swap):
     return _kernels.greedy_insert(
         *[swap.get(name, getattr(s, name)) for name in STATE], s.n_tours, order, inst.dist,
         inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end, inst.prize,
-        inst.problem.code, commits)
+        inst.problem.code, commits, inst.coords)
 
 
 def remove_direct(s, ids, **swap):
@@ -259,7 +439,7 @@ def test_recorded_block_follows_the_instance_of_each_call():
             commits = np.empty((order.size, 2), dtype=np.int64)
             s.n_tours, *sums = insert(*arrays, nt, order, inst.dist, inst.demand,
                                       inst.capacity, inst.service, inst.tw_start, inst.tw_end,
-                                      inst.prize, inst.problem.code, commits)
+                                      inst.prize, inst.problem.code, commits, inst.coords)
             outs.append(([a.tobytes() for a in arrays + [commits]], cost, sums, s.n_tours))
         assert outs[0] == outs[1]
 
@@ -356,6 +536,24 @@ def test_splices_and_new_tours_follow_the_scalar_kernel(problem):
     assert tours.tolist() == [0] * 5 + [1, 2, 2, 3, 3]
 
 
+def first_step(sol, c):
+    """What the scalar kernel writes when it commits unassigned customer c
+    alone. A kernel takes only a permutation of the unassigned set, and its
+    decision for c reads the tours and c's own entries, so the other
+    unassigned customers are hidden from it: their flags are cleared in its
+    input and set again in what it wrote, which never touches them."""
+    hidden = sol.clone()
+    others = np.flatnonzero(hidden._unassigned)
+    others = others[others != c]
+    hidden._unassigned[others] = False
+    arrays, result = call(_kernels.greedy_insert_scalar, hidden, np.array([c], dtype=np.int64))
+    unassigned = np.frombuffer(arrays[7], dtype=np.bool_).copy()
+    assert not unassigned[others].any()
+    unassigned[others] = True
+    arrays[7] = unassigned.tobytes()
+    return arrays, result
+
+
 @settings(max_examples=300, deadline=None)
 @given(case_args)
 def test_model_primitives_match_one_kernel_step(args):
@@ -376,7 +574,7 @@ def test_model_primitives_match_one_kernel_step(args):
             best, best_slot = d, (t, p)
     if inst.problem is Problem.PCVRP and best >= 0.0:
         best_slot = (-1, -1)
-    arrays, result = call(_kernels.greedy_insert_scalar, sol, order[:1])
+    arrays, result = first_step(sol, c)
     commits = np.frombuffer(arrays[-1], dtype=np.int64)
     assert tuple(commits.tolist()) == best_slot
     if best_slot == (-1, -1):
@@ -483,16 +681,24 @@ def test_seeded_runs_agree_on_every_path(problem, pair, monkeypatch):
 
 
 def test_cli_solve_output_is_identical_on_both_paths(tmp_path, monkeypatch):
-    path = save(generate(GenParams(problem=Problem.VRPTW, n=200, seed=4)), tmp_path / "v.txt")
-    outputs = []
-    kernels = [_kernels.greedy_insert_scalar]
-    if _kernels.BACKEND == "c":
-        kernels.append(_kernels.greedy_insert)
-    for kernel in kernels:
-        monkeypatch.setattr(_kernels, "greedy_insert", kernel)
-        out = tmp_path / kernel.__name__
-        rc = cli_main(["solve", "--instance", str(path), "--iterations", "40",
-                       "--seed", "9", "--out", str(out)])
-        assert rc == 0
-        outputs.append((out / "solution.json").read_bytes())
-    assert outputs[1:] == outputs[:-1]
+    """Each variant with the pair that perfbench runs it with."""
+    pairs = {Problem.CVRP: ("seed_random", "random"),
+             Problem.VRPTW: ("string", "depot_distance_desc"),
+             Problem.PCVRP: ("string", "demand_desc")}
+    for problem, (remove, order) in pairs.items():
+        path = save(generate(GenParams(problem=problem, n=200, seed=4)),
+                    tmp_path / f"{problem.value}.txt")
+        outputs = []
+        kernels = [_kernels.greedy_insert_scalar]
+        if _kernels.BACKEND == "c":
+            kernels.append(_kernels.greedy_insert)
+        for kernel in kernels:
+            monkeypatch.setattr(_kernels, "greedy_insert", kernel)
+            out = tmp_path / f"{problem.value}-{kernel.__name__}"
+            rc = cli_main(["solve", "--instance", str(path), "--iterations", "40",
+                           "--seed", "9", "--remove", remove, "--order", order,
+                           "--out", str(out)])
+            assert rc == 0
+            outputs.append((out / "solution.json").read_bytes())
+        monkeypatch.undo()
+        assert outputs[1:] == outputs[:-1], problem
