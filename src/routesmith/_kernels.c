@@ -1,4 +1,5 @@
-/* Compiled greedy reinsertion and detach kernels, and numpy's bounded draw.
+/* Compiled greedy reinsertion and detach kernels, the two built-in removal
+ * operators, and numpy's bounded draw.
  *
  * ``rs_remove_ids`` is a straight port of ``remove_ids_scalar`` in
  * ``_kernels.py``, and ``rs_greedy_insert`` makes the decisions of
@@ -32,13 +33,14 @@
  * arena views and an instance's read-only views it keeps their addresses
  * and geometry in the block, and later calls that pass the same arrays
  * (still writable where written) only set the tour count, the ids, k and
- * the commits.
+ * the commits. The block also carries the kernels' own scratch memory,
+ * allocated with it, so no call allocates.
  *
  * Arrays are C-contiguous: nodes (rows x width, int32), lens (int32),
  * tdem (int64), tcost (float64), estart/lstart (rows x width float64, read
  * only for VRPTW), tour_of (int32), unassigned (bool), dist (m x m
  * float64), demand (int64), service/tws/twe/prize (float64), coords (m x 2
- * float64), ids (int64), commits (k x 2 int64).
+ * float64), adjacency (m x m-1 int32), ids (int64), commits (k x 2 int64).
  *
  * dist must be the Euclidean distance matrix of coords, exactly symmetric,
  * as ``model.Instance`` builds it (sqrt(dx*dx + dy*dy) of coordinate
@@ -46,15 +48,21 @@
  * reads d(prev, c) as d(c, prev) from c's own row instead of a strided
  * column, which the Python kernels read.
  *
- * ``rs_integers`` is ``numpy.random.Generator.integers(lo, hi)`` for
- * hi - lo <= 2**32 - 1 (numpy's Lemire rejection on 32-bit draws), drawn
- * through the generator's own ``bitgen_t``. It takes no lock: the caller
- * holds the bit generator's lock.
+ * Every draw is numpy's Lemire rejection on 32-bit draws (``lemire``),
+ * made through the generator's own ``bitgen_t``; no function takes a lock,
+ * the caller holds the bit generator's. ``rs_integers`` is
+ * ``numpy.random.Generator.integers(lo, hi)`` for hi - lo <= 2**32 - 1.
+ * ``rs_string_remove`` and ``rs_uniform_remove`` are the walk of
+ * ``operators.string_remove`` and the pick of ``seed_random_remove``,
+ * making their draws in their order: they return the same ids and leave
+ * the generator in the same state. The pick reproduces numpy's
+ * ``Generator.choice(pop, k, replace=False)`` (Floyd's algorithm, then a
+ * Fisher-Yates shuffle). Both only read the solution, and write their ids
+ * into the block's output buffer.
  */
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
 /* numpy/random/bitgen.h */
@@ -82,13 +90,18 @@ typedef struct {
     const double *twe;
     const double *prize; /* NULL until a reinsertion passes it */
     const double *coords; /* NULL until a reinsertion passes it */
+    const int32_t *adjacency; /* (m x m-1); NULL until a removal operator passes it */
     int64_t rows, width, m;
     int64_t capacity, problem, has_tw;
     int64_t n_tours;
-    const int64_t *ids; /* the ids to detach, or the reinsertion order */
+    int64_t *ids; /* the ids to detach, the reinsertion order, or a removal's output */
     int64_t k;
     int64_t *commits;
     double cost, recouped; /* out: travel-cost delta, recouped prize total */
+    /* the kernels' own memory, kept with the block: 40 rows + 4 m bytes
+     * (the PCVRP boxes, the tours a string walk hit or the assigned ids),
+     * then m bytes (the ids an order has met) */
+    uint8_t *scratch;
 } rs_args;
 
 static void retime(const int32_t *nodes, const int32_t *lens, double *estart, double *lstart,
@@ -240,7 +253,7 @@ static void tour_box(const int32_t *row, int64_t L, const double *coords, const 
 }
 
 /* Returns the new tour count; -1 (writing nothing) when the order is not a
- * permutation of the unassigned set, -2 when scratch memory is short. */
+ * permutation of the unassigned set. */
 int64_t rs_greedy_insert(rs_args *a)
 {
     int32_t *nodes = a->nodes, *lens = a->lens, *tour_of = a->tour_of;
@@ -260,18 +273,12 @@ int64_t rs_greedy_insert(rs_args *a)
     a->cost = 0.0;
     a->recouped = 0.0;
 
-    /* m bytes of ids seen, then (PCVRP) five doubles per tour row */
-    size_t box_bytes = pcvrp ? (size_t)rows * 5 * sizeof(double) : 0;
-    uint8_t *scratch = malloc(box_bytes + (size_t)m);
-    if (scratch == NULL)
-        return -2;
-    double *boxes = (double *)scratch;
-    uint8_t *seen = scratch + box_bytes;
+    /* (PCVRP) five doubles per tour row, and the ids met */
+    double *boxes = (double *)a->scratch;
+    uint8_t *seen = a->scratch + 40 * rows + 4 * m;
     memset(seen, 0, (size_t)m);
-    if (!is_order(order, k, unassigned, m, seen)) {
-        free(scratch);
+    if (!is_order(order, k, unassigned, m, seen))
         return -1;
-    }
     if (pcvrp) {
         for (int64_t t = 0; t < nt; t++)
             tour_box(nodes + t * width, lens[t], coords, dist, m, boxes + 5 * t);
@@ -348,7 +355,8 @@ int64_t rs_greedy_insert(rs_args *a)
                         best = cand;
                         best_t = t;
                         best_p = p;
-                        rest = prz + best + 1e-12 * (fabs(prz) + fabs(best));
+                        if (pcvrp)
+                            rest = prz + best + 1e-12 * (fabs(prz) + fabs(best));
                     }
                     prevnode = nxt;
                 }
@@ -402,19 +410,19 @@ int64_t rs_greedy_insert(rs_args *a)
         commits[2 * oi] = best_t;
         commits[2 * oi + 1] = best_p;
     }
-    free(scratch);
     a->cost = cost_delta;
     a->recouped = prize_delta;
     return nt;
 }
 
-int64_t rs_integers(bitgen_t *bg, int64_t lo, uint32_t span)
+/* numpy's buffered_bounded_lemire_uint32 on [0, span), with no buffer: the
+ * draw of random_bounded_uint64_fill and of random_bounded_uint64 for
+ * 0 < span - 1 < 0xFFFFFFFF; span 1 draws nothing. */
+static uint32_t lemire(bitgen_t *bg, uint32_t span)
 {
-    /* numpy's random_bounded_uint64_fill for 0 < rng = span - 1 < 0xFFFFFFFF:
-     * buffered_bounded_lemire_uint32; rng 0 draws nothing */
     uint32_t rng = span - 1;
     if (rng == 0)
-        return lo;
+        return 0;
     uint64_t m = (uint64_t)bg->next_uint32(bg->state) * span;
     uint32_t leftover = (uint32_t)m;
     if (leftover < span) {
@@ -424,5 +432,112 @@ int64_t rs_integers(bitgen_t *bg, int64_t lo, uint32_t span)
             leftover = (uint32_t)m;
         }
     }
-    return (int64_t)((uint64_t)lo + (m >> 32));
+    return (uint32_t)(m >> 32);
+}
+
+int64_t rs_integers(bitgen_t *bg, int64_t lo, uint32_t span)
+{
+    return (int64_t)((uint64_t)lo + lemire(bg, span));
+}
+
+/* The number of assigned ids (tour_of >= 0; the depot's entry is -1). */
+static int64_t count_assigned(const int32_t *tour_of, int64_t m)
+{
+    int64_t pop = 0;
+    for (int64_t c = 0; c < m; c++)
+        pop += tour_of[c] >= 0;
+    return pop;
+}
+
+/* ``operators.string_remove``'s walk. Writes at most a->k ids to a->ids
+ * and returns their number; -1 when the walk meets a row that disagrees
+ * with tour_of, or more ids than that. */
+int64_t rs_string_remove(rs_args *a, bitgen_t *bg, int64_t target_lo, uint32_t target_span,
+                         int64_t max_len, int64_t max_strings)
+{
+    const int32_t *nodes = a->nodes, *lens = a->lens, *tour_of = a->tour_of;
+    int64_t width = a->width, m = a->m, nt = a->n_tours;
+    int64_t *out = a->ids;
+    int64_t pop = count_assigned(tour_of, m);
+    if (pop == 0)
+        return 0;
+    int64_t target = target_lo + lemire(bg, target_span);
+    int64_t index = lemire(bg, (uint32_t)pop);
+    int64_t seed = 0;
+    while (tour_of[seed] < 0 || index-- > 0)
+        seed++;
+    /* the seed, then its neighbours nearest first */
+    const int32_t *near = a->adjacency + seed * (m - 1);
+    uint8_t *hit = a->scratch;
+    memset(hit, 0, (size_t)nt);
+    int64_t k = 0, strings = 0;
+    for (int64_t i = -1; i < m - 1; i++) {
+        int64_t c = i < 0 ? seed : near[i];
+        int64_t t = tour_of[c];
+        if (t < 0 || (t < nt && hit[t]))
+            continue;
+        int64_t L = t < nt ? lens[t] : 0;
+        const int32_t *row = nodes + t * width;
+        int64_t pos = 0;
+        while (pos < L && row[pos] != c)
+            pos++;
+        if (pos == L || k + L > a->k)
+            return -1;
+        int64_t length = 1 + lemire(bg, (uint32_t)(max_len < L ? max_len : L));
+        int64_t lo = pos - lemire(bg, (uint32_t)length);
+        lo = lo < L - length ? lo : L - length;
+        lo = lo > 0 ? lo : 0;
+        for (int64_t j = lo; j < lo + length; j++)
+            out[k++] = row[j];
+        hit[t] = 1;
+        if (++strings >= max_strings || k >= target)
+            break;
+    }
+    return k;
+}
+
+/* ``operators.seed_random_remove``: k = k_lo + a draw below k_span, at
+ * most the number pop of assigned ids, then the ids at the indices of
+ * numpy's ``choice(pop, k, replace=False)``. For k <= 200 numpy takes
+ * Floyd's algorithm (it does unless pop > 10000 and k > pop // 50), then
+ * shuffles the k results. pop < m, and an m x m dist bounds m far below
+ * 2**32, so every span is one draw's. Returns the number of ids written to
+ * a->ids. */
+int64_t rs_uniform_remove(rs_args *a, bitgen_t *bg, int64_t k_lo, uint32_t k_span)
+{
+    const int32_t *tour_of = a->tour_of;
+    int64_t m = a->m;
+    int64_t *out = a->ids;
+    int64_t pop = count_assigned(tour_of, m);
+    if (pop == 0)
+        return 0;
+    int64_t k = k_lo + lemire(bg, k_span);
+    k = k < pop ? k : pop;
+    int32_t *assigned = (int32_t *)a->scratch;
+    for (int64_t c = 0, i = 0; c < m; c++) {
+        if (tour_of[c] >= 0)
+            assigned[i++] = (int32_t)c;
+    }
+    /* Floyd: each j draws from [0, j] and takes j when the draw is taken */
+    for (int64_t j = pop - k; j < pop; j++) {
+        int64_t i = j - (pop - k);
+        int64_t v = lemire(bg, (uint32_t)(j + 1));
+        for (int64_t q = 0; q < i; q++) {
+            if (out[q] == v) {
+                v = j;
+                break;
+            }
+        }
+        out[i] = v;
+    }
+    /* Fisher-Yates over the k indices */
+    for (int64_t i = k - 1; i > 0; i--) {
+        int64_t j = lemire(bg, (uint32_t)(i + 1));
+        int64_t swap = out[i];
+        out[i] = out[j];
+        out[j] = swap;
+    }
+    for (int64_t i = 0; i < k; i++)
+        out[i] = assigned[out[i]];
+    return k;
 }

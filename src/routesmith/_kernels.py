@@ -19,20 +19,27 @@ the first late arrival. ``greedy_insert_scalar`` stays the unpruned
 reference. Both kernels refuse an order that is not a permutation of the
 unassigned set (``is_order``, no sort): they write nothing and return a
 tour count of -1. The library also draws ``numpy.random.Generator.integers``
-for spans below 2**32 (``integers``), with numpy's Lemire rule on the
-generator's own bits. ``load_compiled`` selects the C backend when the
-library loads, agrees bit for bit with the Python kernels on a detach and
-reinsertion per variant, and draws numpy's numbers on ranges that reject
+for spans below 2**32 (``integers``), and runs the two built-in removal
+operators, string removal and uniform removal, as one call each
+(``removal``, dispatched from ``operators``). All three draw with one
+helper, numpy's Lemire rule on the generator's own bits, so they return
+numpy's numbers and leave the generator where numpy leaves it.
+``load_compiled`` selects the C backend when the library loads, agrees bit
+for bit with the Python kernels on a detach and reinsertion per variant,
+returns the ids of the Python removal operators and leaves their generator
+state (``_removals``), and draws numpy's numbers on ranges that reject
 often (``_DRAW_CHECKS``); any mismatch selects the interpreted backend,
-where the scalar Python kernels run and numpy draws.
+where the scalar Python kernels and operators run and numpy draws.
 ``BACKEND`` and ``BACKEND_REASON`` say which one runs and why. C trusts
 its arguments, so the wrappers check every array's dtype, contiguity and
 shape, and that the arrays C writes are writable, before C sees it. Each
-C kernel takes one argument block (``_Args``). A solution's arena
-views and an instance's read-only views are checked once: a record keeps
-the solution's block, and a later call passing the same array objects,
-still writable where written, sets only the tour count, the ids, k, the
-commits and the codes in it (``_block``, ``_instance_arrays``).
+kernel and removal operator takes one argument block (``_Args``), passed
+by address. A solution's arena views and an instance's read-only views are
+checked once: a record keeps the solution's block, with the kernels'
+scratch memory and a removal's output buffer, and a later call passing the
+same array objects, still writable where written, sets only the tour
+count, the ids, k, the commits and the codes in it (``_block``,
+``_instance_arrays``).
 
 Each piece of the greedy insertion rule has one Python home here, used by
 ``greedy_insert_scalar`` and by ``model.insertion_delta``/
@@ -416,8 +423,8 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # "c" or "interpreted", and why; set by ``load_compiled``.
 BACKEND = "interpreted"
 BACKEND_REASON = "compiled kernels not loaded (lns.warm_kernels was not called)"
-# (rs_greedy_insert, rs_remove_ids) and rs_integers while the C backend is
-# selected
+# (rs_greedy_insert, rs_remove_ids, rs_string_remove, rs_uniform_remove) and
+# rs_integers while the C backend is selected
 _compiled = _draw = None
 
 _INT64_MIN = -(1 << 63)
@@ -446,15 +453,16 @@ def _address(name, a, dtype, shape, writes):
 
 
 class _Args(ctypes.Structure):
-    """``rs_args`` of ``_kernels.c``: the argument block of a solution's calls."""
+    """``rs_args`` of ``_kernels.c``: the argument block of a solution's calls,
+    passed to C by its ``address``."""
 
     _fields_ = [(name, ctypes.c_void_p) for name in (
         "nodes", "lens", "tdem", "tcost", "estart", "lstart", "tour_of", "unassigned",
-        "dist", "demand", "service", "tws", "twe", "prize", "coords")] + [
+        "dist", "demand", "service", "tws", "twe", "prize", "coords", "adjacency")] + [
         (name, ctypes.c_int64) for name in (
             "rows", "width", "m", "capacity", "problem", "has_tw", "n_tours")] + [
         ("ids", ctypes.c_void_p), ("k", ctypes.c_int64), ("commits", ctypes.c_void_p),
-        ("cost", ctypes.c_double), ("recouped", ctypes.c_double)]
+        ("cost", ctypes.c_double), ("recouped", ctypes.c_double), ("scratch", ctypes.c_void_p)]
 
 
 # Records of checked arguments. A solution's eight state arrays, and an
@@ -468,7 +476,9 @@ class _Args(ctypes.Structure):
 # view's current shape, so a recorded address holds while the array lives.
 # A record goes away with the array it is keyed on, and keeps nothing alive.
 _states = {}  # id(nodes) -> (refs, block, rows, m, timing rows full-size)
-_inputs = {}  # id(dist) -> (refs, (addresses, m)); prize's and coords' refs are None until a reinsertion
+# id(dist) -> (refs, (addresses, m)); prize's and coords' refs are None until a
+# reinsertion passes them, adjacency's until a removal operator does
+_inputs = {}
 
 
 def _remember(table, arrays, value):
@@ -488,27 +498,30 @@ def _remember(table, arrays, value):
     table[key] = (refs, *value)
 
 
-def _instance_arrays(dist, demand, service, tws, twe, prize=None, coords=None):
+def _instance_arrays(dist, demand, service, tws, twe, prize=None, coords=None,
+                     adjacency=None):
     """(addresses, m) of an instance's arrays (``prize`` and ``coords`` are
-    None on detach), from their record or from a full check that raises on
-    anything C cannot read."""
+    None on detach, ``adjacency`` on detach and reinsertion), from their
+    record or from a full check that raises on anything C cannot read.
+    A removal operator passes them all, so one record serves every call."""
     rec = _inputs.get(id(dist))
     if rec is not None:
         r = rec[0]
         if (r[0]() is dist and r[1]() is demand and r[2]() is service and r[3]() is tws
                 and r[4]() is twe and (prize is None or r[5] is not None and r[5]() is prize)
-                and (coords is None or r[6] is not None and r[6]() is coords)):
+                and (coords is None or r[6] is not None and r[6]() is coords)
+                and (adjacency is None or r[7] is not None and r[7]() is adjacency)):
             return rec[1]
     if not isinstance(dist, np.ndarray) or dist.ndim != 2:
         raise InputError("dist: need a 2-D array")
     m = dist.shape[0]
-    arrays = (dist, demand, service, tws, twe, prize, coords)
+    arrays = (dist, demand, service, tws, twe, prize, coords, adjacency)
     value = tuple(
         None if a is None else _address(name, a, dtype, shape, False)
         for a, (name, dtype, shape) in zip(arrays, (
             ("dist", _F64, (m, m)), ("demand", _I64, (m,)), ("service", _F64, (m,)),
             ("tws", _F64, (m,)), ("twe", _F64, (m,)), ("prize", _F64, (m,)),
-            ("coords", _F64, (m, 2))))
+            ("coords", _F64, (m, 2)), ("adjacency", _I32, (m, m - 1))))
     ), m
     _remember(_inputs, arrays, (value,))
     return value
@@ -518,17 +531,21 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
            inputs, name, ids):
     """The argument block of a solution's arrays, for an instance whose
     checked arrays are ``inputs`` ((addresses, m)), with the tour count
-    and the int64 ``ids`` (called ``name``) set: from their record or
-    from a full check that raises on anything C cannot read or write."""
+    and the int64 ``ids`` (called ``name``) set: from their record or from
+    a full check that raises on anything C cannot read or write. ``ids``
+    None is a removal operator's call, which only reads the arrays and
+    writes into the block's own buffer ``out`` of m ids."""
     m = inputs[1]
+    writes = ids is not None
     rec = _states.get(id(nodes))
     r = rec and rec[0]
     if (r and rec[3] == m and (rec[4] or not has_tw) and r[0]() is nodes
             and r[1]() is lens and r[2]() is tdem and r[3]() is tcost and r[4]() is estart
             and r[5]() is lstart and r[6]() is tour_of and r[7]() is unassigned
-            and nodes.flags.writeable and lens.flags.writeable and tdem.flags.writeable
-            and tcost.flags.writeable and estart.flags.writeable and lstart.flags.writeable
-            and tour_of.flags.writeable and unassigned.flags.writeable):
+            and (not writes or nodes.flags.writeable and lens.flags.writeable
+                 and tdem.flags.writeable and tcost.flags.writeable and estart.flags.writeable
+                 and lstart.flags.writeable and tour_of.flags.writeable
+                 and unassigned.flags.writeable)):
         blk, rows = rec[1], rec[2]
     else:
         if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
@@ -536,22 +553,34 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
         rows, width = nodes.shape
         times = (rows, width) if has_tw else None  # the timing rows are used only on VRPTW
         state = (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned)
-        blk = _Args(*(_address(what, a, dtype, shape, True) for a, (what, dtype, shape) in zip(
+        blk = _Args(*(_address(what, a, dtype, shape, writes) for a, (what, dtype, shape) in zip(
             state, (("nodes", _I32, (rows, width)), ("lens", _I32, (rows,)),
                     ("tdem", _I64, (rows,)), ("tcost", _F64, (rows,)), ("estart", _F64, times),
                     ("lstart", _F64, times), ("tour_of", _I32, (m,)),
                     ("unassigned", _BOOL, (m,))))), rows=rows, width=width, m=m)
         blk.inputs = None
+        # passing the address costs less than ctypes' conversion of the block
+        blk.address = ctypes.addressof(blk)
+        blk.out = np.empty(m, dtype=np.int64)
+        blk.out_address = blk.out.ctypes.data
+        # the kernels' own memory (rs_args.scratch), allocated once a block
+        blk.memory = np.empty(40 * rows + 5 * m, dtype=np.uint8)
+        blk.scratch = blk.memory.ctypes.data
         _remember(_states, state, (blk, rows, m, estart.shape == lstart.shape == (rows, width)))
     if not 0 <= n_tours <= rows:
         raise InputError(f"n_tours out of range: {n_tours}")
     if blk.inputs is not inputs:
-        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize, blk.coords), _ = inputs
+        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize, blk.coords,
+         blk.adjacency), _ = inputs
         blk.inputs = inputs
     blk.n_tours = n_tours
-    k = ids.shape[0]
-    blk.ids = _address(name, ids, _I64, (k,), False)
-    blk.k = k
+    if writes:
+        k = ids.shape[0]
+        blk.ids = _address(name, ids, _I64, (k,), False)
+        blk.k = k
+    else:
+        blk.ids = blk.out_address
+        blk.k = m
     return blk
 
 
@@ -567,10 +596,7 @@ def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, 
     blk.commits = _address("commits", commits, _I64, (blk.k, 2), True)
     blk.capacity = capacity
     blk.problem = problem
-    nt = kernel(blk)
-    if nt == -2:
-        raise MemoryError("no scratch memory for the reinsertion kernel")
-    return nt, blk.cost, blk.recouped
+    return kernel(blk.address), blk.cost, blk.recouped
 
 
 def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
@@ -578,7 +604,27 @@ def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, una
     blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
                  has_tw, _instance_arrays(dist, demand, service, tws, twe), "ids", ids)
     blk.has_tw = bool(has_tw)
-    return kernel(blk), blk.cost
+    return kernel(blk.address), blk.cost
+
+
+def removal(kernel, instance, solution, rng, *params):
+    """Run the compiled removal operator ``kernel`` (``rs_string_remove`` or
+    ``rs_uniform_remove``, with its ``params`` after the block and the bit
+    generator) on ``solution`` and ``instance``'s arrays, drawing from
+    ``rng``, a ``numpy.random.Generator``, under its bit generator's lock.
+    Returns the removed ids as a list of int."""
+    s, inst = solution, instance
+    blk = _block(s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart, s._tour_of,
+                 s._unassigned, s.n_tours, False,
+                 _instance_arrays(inst.dist, inst.demand, inst.service, inst.tw_start,
+                                  inst.tw_end, inst.prize, inst.coords, inst.adjacency),
+                 "out", None)
+    bits = rng.bit_generator
+    with bits.lock:
+        k = kernel(blk.address, bits.ctypes.bit_generator, *params)
+    if k < 0:
+        raise InputError("the solution's tour rows disagree with its customer-to-tour map")
+    return blk.out[:k].tolist()
 
 
 class _Unavailable(Exception):
@@ -671,48 +717,91 @@ def _build(cc, key):
 
 
 def _open(path, cases):
-    """The C kernels and the draw of the library at ``path``, once the
-    kernels agree with the Python kernels on every case and the draw with
-    numpy."""
+    """The C kernels and operators and the draw of the library at ``path``,
+    once the kernels agree with the Python kernels on every case, the
+    operators with the Python operators and the draw with numpy."""
     try:
         lib = ctypes.CDLL(str(path))
-        kernels = (lib.rs_greedy_insert, lib.rs_remove_ids)
-        # called with the GIL held: a draw is short, and it runs under the
-        # bit generator's lock
-        draw = ctypes.PyDLL(str(path)).rs_integers
+        # called with the GIL held: a draw or a removal is short, and it
+        # runs under the bit generator's lock
+        pylib = ctypes.PyDLL(str(path))
+        kernels = (lib.rs_greedy_insert, lib.rs_remove_ids, pylib.rs_string_remove,
+                   pylib.rs_uniform_remove)
+        draw = pylib.rs_integers
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
-    for kernel in kernels:
-        kernel.argtypes = [ctypes.POINTER(_Args)]
+    # each kernel takes the address of a block, then a removal operator the
+    # bit generator and its parameters
+    for kernel, params in zip(kernels, (
+            [], [], [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32, ctypes.c_int64,
+                     ctypes.c_int64],
+            [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32])):
+        kernel.argtypes = [ctypes.c_void_p] + params
         kernel.restype = ctypes.c_int64
     draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32]
     draw.restype = ctypes.c_int64
-    for state, ids, inst in cases:
-        if _detach_and_reinsert(kernels, state, ids, inst) != _detach_and_reinsert(
-                None, state, ids, inst):
+    for sol, ids in cases:
+        if _detach_and_reinsert(kernels, sol, ids) != _detach_and_reinsert(None, sol, ids):
             raise _Unavailable(f"{path} disagrees with the Python kernels")
+    if _removals(kernels, cases) != _removals(None, cases):
+        raise _Unavailable(f"{path} removes other ids than the Python operators")
     if _draws(draw) != _draws(None):
         raise _Unavailable(f"{path} draws other numbers than numpy")
     return kernels, draw
 
 
-def _detach_and_reinsert(kernels, state, ids, inst):
+_STATE = ("_nodes", "_lens", "_tdem", "_tcost", "_estart", "_lstart", "_tour_of", "_unassigned")
+
+
+def _detach_and_reinsert(kernels, sol, ids):
     """Every array and value written by detaching ``ids`` from a copy of
-    ``state`` and reinserting them ascending, as bytes; C kernels when
-    ``kernels`` is given, the Python ones otherwise."""
+    solution ``sol``'s arrays and reinserting them ascending, as bytes; C
+    kernels when ``kernels`` is given, the Python ones otherwise."""
     remove, insert = remove_ids_scalar, greedy_insert_scalar
     if kernels is not None:
         insert = functools.partial(_greedy_insert_c, kernels[0])
         remove = functools.partial(_remove_ids_c, kernels[1])
-    arrays = [a.copy() for a in state[:8]]
-    dist, demand, capacity, service, tws, twe, prize, problem, coords = inst
+    arrays = [getattr(sol, name).copy() for name in _STATE]
+    inst = sol.instance
+    problem = inst.problem.code
     ids = np.asarray(ids, dtype=np.int64)
     commits = np.empty((ids.size, 2), dtype=np.int64)
-    nt, cost = remove(*arrays, state[8], ids, dist, demand, service, tws, twe, problem == VRPTW)
-    out = insert(*arrays, nt, np.sort(ids), dist, demand, capacity, service, tws, twe, prize,
-                 problem, commits, coords)
+    nt, cost = remove(*arrays, sol.n_tours, ids, inst.dist, inst.demand, inst.service,
+                      inst.tw_start, inst.tw_end, problem == VRPTW)
+    out = insert(*arrays, nt, np.sort(ids), inst.dist, inst.demand, inst.capacity,
+                 inst.service, inst.tw_start, inst.tw_end, inst.prize, problem, commits,
+                 inst.coords)
     values = (nt, cost, *out)
     return [a.tobytes() for a in (*arrays, commits)] + [np.float64(v).tobytes() for v in values]
+
+
+# the load-time check's removals from each case's solution, drawn from a
+# generator seeded with _REMOVAL_SEED: string removal with the case's
+# (max_string_len, avg_removed, max_strings) below (a walk through every
+# node, one that ends on its removal target, one that ends on its string
+# count), then uniform removal, which meets an index drawn twice. With this
+# seed a walk whose first two draws trade places also returns other ids.
+_REMOVAL_SEED = 12
+_WALK_CHECKS = ((10, 10, 4), (3, 1, 4), (2, 10, 1))
+
+
+def _removals(kernels, cases):
+    """The ids of the check's removals from each case's solution and the
+    generator's state after: by the compiled operators of ``kernels`` when
+    it is given, by the Python operators otherwise."""
+    from . import operators  # it imports this module, so only once both are loaded
+
+    out = []
+    for i, (sol, _) in enumerate(cases):
+        inst = sol.instance
+        rng = np.random.Generator(np.random.PCG64(_REMOVAL_SEED))
+        params = operators.StringRemovalParams(*_WALK_CHECKS[i % len(_WALK_CHECKS)])
+        out.append(removal(kernels[2], inst, sol, rng, *operators._walk_args(params))
+                   if kernels else operators._string_walk(inst, sol, rng, params))
+        out.append(removal(kernels[3], inst, sol, rng, *operators._UNIFORM_ARGS)
+                   if kernels else operators._uniform_pick(inst, sol, rng))
+        out.append(rng.bit_generator.state)
+    return out
 
 
 # (lo, hi) of the draws the load-time check compares with numpy: one value,
@@ -743,14 +832,14 @@ def load_compiled(build, cases):
 
     The C backend is the library built from ``_kernels.c`` for this
     source, compiler and flags, kept in the per-user cache. It is used
-    when it loads, when on each of ``cases`` ((solution arrays and tour
-    count, ids to detach, (dist, demand, capacity, service, tws, twe,
-    prize, problem, coords)) tuples) it detaches the ids and reinserts them
-    with exactly the bits of the Python kernels, and when its draws equal
-    numpy's on ``_DRAW_CHECKS``. With ``build`` a missing or
-    unusable library is compiled first; without it (evaluation children,
-    which run under a memory limit) nothing is ever compiled. Otherwise
-    the interpreted kernels run.
+    when it loads, when on each of ``cases`` ((``model.Solution``, ids to
+    detach) pairs) it detaches the ids and reinserts them with exactly the
+    bits of the Python kernels, when its removal operators return the ids
+    of the Python operators and leave their generators in the same state
+    (``_removals``), and when its draws equal numpy's on ``_DRAW_CHECKS``.
+    With ``build`` a missing or unusable library is compiled first;
+    without it (evaluation children, which run under a memory limit)
+    nothing is ever compiled. Otherwise the interpreted kernels run.
     """
     global BACKEND, BACKEND_REASON, _compiled, _draw
     try:

@@ -276,8 +276,8 @@ def warm_kernels(build: bool = True) -> None:
 
     ``_kernels.load_compiled`` loads the compiled kernels from the cache
     (compiling them first when ``build`` is set and they are missing) and
-    checks them bit for bit against the Python kernels on a 3-customer
-    instance per variant, and its draws against numpy; otherwise the
+    checks them bit for bit against the Python kernels and removal
+    operators on ``warm_cases``, and its draws against numpy; otherwise the
     interpreted kernels run. Call it
     before any clock starts: a cold build takes a fraction of a second, a
     warm load a few milliseconds. Evaluation children pass ``build=False``
@@ -286,6 +286,15 @@ def warm_kernels(build: bool = True) -> None:
     global _warmed
     if _warmed:
         return
+    _kernels.load_compiled(build, warm_cases())
+    _warmed = True
+
+
+def warm_cases() -> list[tuple[Solution, list[int]]]:
+    """The load-time check's cases: per variant, a 3-customer solution of
+    tours [1] and [3, 2], and the ids [1, 2] to detach. Detaching 1 empties
+    row 0 and moves row 1 into it; the string walks draw lengths and
+    offsets in the two-customer tour."""
     coords = [(0.5, 0.5), (0.25, 0.5), (0.75, 0.5), (0.5, 0.25)]
     cases = []
     for problem in (Problem.CVRP, Problem.VRPTW, Problem.PCVRP):
@@ -299,16 +308,8 @@ def warm_kernels(build: bool = True) -> None:
             tw_end=[9.0] * 4,
             prize=[0.0, 0.05, 0.05, 0.05],
         )
-        sol = initial_solution(inst)
-        cases.append((
-            (sol._nodes, sol._lens, sol._tdem, sol._tcost, sol._estart, sol._lstart,
-             sol._tour_of, sol._unassigned, sol.n_tours),
-            [1, 2],
-            (inst.dist, inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end,
-             inst.prize, problem.code, inst.coords),
-        ))
-    _kernels.load_compiled(build, cases)
-    _warmed = True
+        cases.append((Solution.from_tours(inst, [[1], [3, 2]]), [1, 2]))
+    return cases
 
 
 def run(instance: Instance, ops, config: LnsConfig) -> tuple[Solution, RunStats]:

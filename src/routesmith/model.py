@@ -387,13 +387,16 @@ class Solution:
 
     @property
     def tours(self) -> list[Tour]:
+        """Fresh snapshots of the tours: customers as a list of int, demand
+        an int and cost a float (one ``tolist()`` per array, not a numpy
+        scalar per value)."""
+        nt = self.n_tours
+        nodes = self._nodes
         return [
-            Tour(
-                customers=self._nodes[t, : self._lens[t]].tolist(),
-                demand=int(self._tdem[t]),
-                cost=float(self._tcost[t]),
-            )
-            for t in range(self.n_tours)
+            Tour(nodes[t, :length].tolist(), demand, cost)
+            for t, length, demand, cost in zip(
+                range(nt), self._lens[:nt].tolist(), self._tdem[:nt].tolist(),
+                self._tcost[:nt].tolist())
         ]
 
     @property

@@ -4,6 +4,14 @@ Operators are stateless: all randomness comes from the rng argument, and
 they never mutate the solution they are given. Removal operators return
 customer ids to detach; ordering operators return a permutation of the ids
 they receive.
+
+The two removal operators run as one compiled call each on the C backend
+(``_kernels.removal``), when the rng is a ``numpy.random.Generator`` and
+every draw's span is one that the compiled draw takes. The compiled walk
+and pick make numpy's draws in the order of the Python bodies here
+(``_string_walk``, ``_uniform_pick``), which run otherwise and which the
+load-time check compares them with: the same ids and the same generator
+state after.
 """
 
 from __future__ import annotations
@@ -27,12 +35,25 @@ class OperatorPair:
     origin: str = "builtin"  # or "external-candidate"
 
 
+# (lowest count, number of counts) of seed_random_remove's draw of k
+_UNIFORM_ARGS = (10, 11)
+
+
 def seed_random_remove(instance: Instance, solution: Solution, rng) -> list[int]:
     """Uniform random selection of 10..20 assigned customers (clamped)."""
+    if _kernels._compiled is not None and type(rng) is np.random.Generator:
+        return _kernels.removal(_kernels._compiled[3], instance, solution, rng, *_UNIFORM_ARGS)
+    return _uniform_pick(instance, solution, rng)
+
+
+def _uniform_pick(instance: Instance, solution: Solution, rng) -> list[int]:
+    """``seed_random_remove`` in numpy: the interpreted backend and the
+    compiled pick's reference."""
     assigned = solution.assigned_ids()
     if assigned.size == 0:
         return []
-    k = min(_kernels.integers(rng, 10, 21), assigned.size)
+    lo, span = _UNIFORM_ARGS
+    k = min(_kernels.integers(rng, lo, lo + span), assigned.size)
     # the draws, values and dtype of rng.choice(assigned, size=k, replace=False)
     return assigned[rng.choice(assigned.size, size=k, replace=False)].tolist()
 
@@ -70,6 +91,33 @@ def string_remove(
     removes one contiguous string from each tour encountered until the
     string budget or the removal target is exhausted.
     """
+    args = _walk_args(params)
+    if (args is not None and _kernels._compiled is not None
+            and type(rng) is np.random.Generator):
+        return _kernels.removal(_kernels._compiled[2], instance, solution, rng, *args)
+    return _string_walk(instance, solution, rng, params)
+
+
+def _walk_args(params: StringRemovalParams):
+    """(target's low end, target's span, max_string_len, max_strings) for
+    the compiled walk, or None when it cannot make the walk's draws: a
+    parameter that is not an int, a target span outside 1..2**32 - 1 (the
+    compiled draw's), a string length below 1 (the walk raises at its
+    first tour), a string count below 1 (it returns after its first two
+    draws), or either past int64."""
+    max_len, avg, max_strings = params.max_string_len, params.avg_removed, params.max_strings
+    if not (type(max_len) is type(avg) is type(max_strings) is int
+            and 0 < max_len < 1 << 63 and 0 < max_strings < 1 << 63):
+        return None
+    lo = max(1, avg // 2)
+    span = avg * 2 - lo
+    return (lo, span, max_len, max_strings) if 0 < span <= 0xFFFFFFFF else None
+
+
+def _string_walk(instance: Instance, solution: Solution, rng,
+                 params: StringRemovalParams) -> list[int]:
+    """``string_remove`` in Python: the interpreted backend and the
+    compiled walk's reference."""
     assigned = solution.assigned_ids()
     if assigned.size == 0:
         return []

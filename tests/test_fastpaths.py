@@ -11,19 +11,23 @@ skips them, and the reinsertion kernels check the order without a sort
 once (``int64_array``), with the values ``int()`` gives.
 ``seed_random_remove`` draws indices into ``assigned_ids()``, which scans
 from the depot, and ``initial_solution`` writes its singleton rows as
-arrays. Each must return exactly what the reference kept here returns (the
+arrays. Both removal operators also run as one compiled call each
+(``_kernels.removal``), checked here on both backends. Each must return exactly what the reference kept here returns (the
 same values, all of type ``int``, or an int64 array of them from
 ``sanitize_order``; for ``initial_solution``, ``Solution.from_tours``'
 arena bytes), leave the same state, raise where it raises, and draw the
 same random numbers.
 """
 
+import itertools
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routesmith import _kernels
+from routesmith import _kernels, operators
 from routesmith.errors import InputError, OperatorProtocolError
 from routesmith.instances import GenParams, generate
 from routesmith.lns import greedy_reinsert, initial_solution, sanitize_order, sanitize_removal
@@ -88,6 +92,22 @@ def reference_sort(instance, ids, key):
     if key == "demand_desc":
         return sorted(out, key=lambda c: (-instance.demand[c], c))
     return sorted(out, key=lambda c: (-instance.dist[0, c], c))
+
+
+def backends():
+    """The interpreted backend (None), then the compiled one where it loaded."""
+    return [None] + ([_kernels._compiled] if _kernels._compiled is not None else [])
+
+
+@contextmanager
+def backend(compiled):
+    """``compiled`` (one of ``backends()``) selected until the block ends."""
+    selected = _kernels._compiled
+    _kernels._compiled = compiled
+    try:
+        yield
+    finally:
+        _kernels._compiled = selected
 
 
 def reference_string_remove(instance, solution, rng, params, walked=None):
@@ -315,10 +335,12 @@ def test_sort_by_key_matches_sorted(seed, key, ids):
                         StringRemovalParams(10, 30, 8))))
 def test_string_remove_matches_its_walk(seed, share, rng_seed, params):
     sol = partial_solution(seed, share)
-    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
-    out = string_remove(sol.instance, sol, rng, params)
-    assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params))
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    for compiled in backends():
+        rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+        with backend(compiled):
+            out = string_remove(sol.instance, sol, rng, params)
+        assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_string_remove_matches_its_walk_past_the_first_block():
@@ -329,18 +351,28 @@ def test_string_remove_matches_its_walk_past_the_first_block():
             sol = partial_solution(seed, share, n=120)
             for params in (StringRemovalParams(), StringRemovalParams(10, 30, 8)):
                 for rng_seed in range(4):
-                    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
-                    walked = []
-                    out = string_remove(sol.instance, sol, rng, params)
-                    assert same(out, reference_string_remove(sol.instance, sol, ref_rng, params,
-                                                             walked))
-                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+                    for compiled in backends():
+                        rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+                        walked = []
+                        with backend(compiled):
+                            out = string_remove(sol.instance, sol, rng, params)
+                        assert same(out, reference_string_remove(sol.instance, sol, ref_rng,
+                                                                 params, walked))
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
                     lengths.append(len(walked))
     assert min(lengths) < 16 < max(lengths)
 
 
 def reference_assigned_ids(solution):
     return (solution._tour_of[1:] >= 0).nonzero()[0].astype(np.int64) + 1
+
+
+def reference_seed_random_remove(solution, rng):
+    reference = reference_assigned_ids(solution)
+    if not reference.size:
+        return []
+    k = min(int(rng.integers(10, 21)), reference.size)
+    return rng.choice(reference, size=k, replace=False).tolist()
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,16 +383,95 @@ def test_seed_random_remove_matches_choice_over_the_ids(seed, share, rng_seed, p
     themselves draws: the same ids, the same rng state after the call."""
     sol = partial_solution(seed, share, problem)
     assigned = sol.assigned_ids()
-    reference = reference_assigned_ids(sol)
-    assert assigned.dtype == np.int64 and assigned.tolist() == reference.tolist()
-    rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
-    out = seed_random_remove(sol.instance, sol, rng)
-    expected = []
-    if reference.size:
-        k = min(int(ref_rng.integers(10, 21)), reference.size)
-        expected = ref_rng.choice(reference, size=k, replace=False).tolist()
-    assert same(out, expected)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert assigned.dtype == np.int64 and assigned.tolist() == reference_assigned_ids(sol).tolist()
+    for compiled in backends():
+        rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+        with backend(compiled):
+            out = seed_random_remove(sol.instance, sol, rng)
+        assert same(out, reference_seed_random_remove(sol, ref_rng))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def solution_serving(inst, served):
+    """A solution of ``inst`` whose tours, of up to three customers each,
+    serve exactly the ids ``served``."""
+    return Solution.from_tours(inst, [served[i : i + 3] for i in range(0, len(served), 3)])
+
+
+def test_removals_match_on_few_assigned_ids():
+    """One assigned id, fewer than the 10..20 a uniform removal picks, and
+    the smallest string parameters, against the references."""
+    inst = generate(GenParams(problem=Problem.CVRP, n=N, seed=1, capacity=30))
+    for pop in (1, 2, 3, 9, 12):
+        sol = solution_serving(inst, list(range(2, 2 + pop)))
+        for rng_seed, compiled in itertools.product(range(40), backends()):
+            for params in (StringRemovalParams(1, 1, 1), StringRemovalParams(),
+                           StringRemovalParams(3, 4, 2)):
+                rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+                with backend(compiled):
+                    out = string_remove(inst, sol, rng, params)
+                assert same(out, reference_string_remove(inst, sol, ref_rng, params))
+                assert rng.bit_generator.state == ref_rng.bit_generator.state
+            rng, ref_rng = make_rng(rng_seed), make_rng(rng_seed)
+            with backend(compiled):
+                out = seed_random_remove(inst, sol, rng)
+            assert same(out, reference_seed_random_remove(sol, ref_rng))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_string_remove_refuses_a_tour_index_past_the_tours():
+    """A customer-to-tour map that names no live tour raises, where the
+    Python walk's ``tour_customers`` raises, instead of reaching C."""
+    inst = generate(GenParams(problem=Problem.CVRP, n=N, seed=1, capacity=30))
+    sol = solution_serving(inst, list(range(1, N + 1)))
+    sol._tour_of[5] = sol.n_tours
+    for compiled in backends():
+        with backend(compiled), pytest.raises(InputError):
+            # the target and the string count outlast the walk, which meets 5
+            string_remove(inst, sol, make_rng(0), StringRemovalParams(10, 2**20, 2**20))
+
+
+class _Generator(np.random.Generator):
+    """A generator that draws numpy's numbers but is not a ``Generator``."""
+
+
+def test_removals_leave_what_the_compiled_calls_cannot_take_to_python(monkeypatch):
+    """A generator that is not a ``Generator`` and parameters whose draws
+    the compiled walk cannot make run the Python operators (which raise
+    where the parameters are invalid); the rest run one compiled call."""
+    calls = []
+    removal = _kernels.removal
+
+    def counted(*args):
+        calls.append(args[0])
+        return removal(*args)
+
+    monkeypatch.setattr(_kernels, "removal", counted)
+    sol = partial_solution(3, 0.3)
+    inst = sol.instance
+    compiled_params = (StringRemovalParams(), StringRemovalParams(1, 1, 1),
+                       StringRemovalParams(2, 1, 2**62))
+    python_params = (StringRemovalParams(0, 10, 4), StringRemovalParams(10, 0, 4),
+                     StringRemovalParams(10, 10, 0), StringRemovalParams(-1, 10, 4),
+                     StringRemovalParams(2**63, 10, 4), StringRemovalParams(10, 10, 2**63),
+                     StringRemovalParams(10, 2**40, 4), StringRemovalParams(10.0, 10, 4),
+                     StringRemovalParams(True, 10, 4))
+    for compiled in backends():
+        calls.clear()
+        with backend(compiled):
+            for params in compiled_params + python_params:
+                for make in (make_rng, lambda seed: _Generator(np.random.PCG64(seed))):
+                    for seed in range(5):
+                        rng, ref_rng = make(seed), make_rng(seed)
+                        assert outcome(string_remove, inst, sol, rng, params) == outcome(
+                            reference_string_remove, inst, sol, ref_rng, params)
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
+            for seed in range(5):
+                rng, ref_rng = _Generator(np.random.PCG64(seed)), make_rng(seed)
+                assert same(seed_random_remove(inst, sol, rng),
+                            reference_seed_random_remove(sol, ref_rng))
+        # one call per Generator and parameters of the first group
+        assert len(calls) == (5 * len(compiled_params) if compiled else 0)
 
 
 @pytest.mark.parametrize("problem", list(Problem))

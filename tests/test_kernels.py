@@ -6,7 +6,9 @@ scalar references ``_kernels.greedy_insert_scalar`` and
 ``_kernels.remove_ids_scalar``: same mutated arrays, same commits, same
 returned counts and sums, bit for bit. The compiled reinsertion scan is
 pruned and the scalar one is not, so parity also holds on cases built on
-the edges of its bounds. The compiled draws must equal numpy's. The public primitives
+the edges of its bounds. The compiled draws must equal numpy's, and the
+load-time check of the compiled removal operators must reach the edges of
+their walks and picks. The public primitives
 ``model.insertion_delta`` and ``model.insert_customer`` must choose and
 commit a customer exactly as one step of the scalar kernel.
 """
@@ -29,7 +31,8 @@ from routesmith.cli import main as cli_main
 from routesmith.errors import InputError, InstanceError
 from routesmith.instances import GenParams, generate, save
 from routesmith.model import Instance, Problem, Solution, insert_customer, insertion_delta
-from routesmith.operators import builtin_pair
+from routesmith import operators
+from routesmith.operators import StringRemovalParams, builtin_pair
 
 VARIANTS = (Problem.CVRP, Problem.VRPTW, Problem.PCVRP)
 
@@ -113,7 +116,7 @@ def test_kernel_source_builds_without_warnings(tmp_path):
 def keep_backend(monkeypatch):
     """Restore the selected backend when the test ends; until then,
     ``lns.warm_kernels`` selects again."""
-    for name in ("BACKEND", "BACKEND_REASON", "_compiled"):
+    for name in ("BACKEND", "BACKEND_REASON", "_compiled", "_draw"):
         monkeypatch.setattr(_kernels, name, getattr(_kernels, name))
     monkeypatch.setattr(lns, "_warmed", False)
 
@@ -282,6 +285,75 @@ def test_decision_edges_are_reached():
                             and (u, q) == (t, p)):
                         found.add("VRPTW commit arriving at the window end")
     assert found == {"PCVRP delta exactly 0", "VRPTW commit arriving at the window end"}
+
+
+def traced_walk(inst, sol, rng, params, found):
+    """``string_remove``'s walk, adding to ``found`` the edges it meets."""
+    assigned = sol.assigned_ids()
+    target = int(rng.integers(max(1, params.avg_removed // 2), params.avg_removed * 2))
+    seed = int(assigned[int(rng.integers(assigned.size))])
+    removed, hit = [], set()
+    for c in [seed] + inst.adjacency[seed].tolist():
+        t = int(sol._tour_of[c])
+        if t < 0 or t in hit:
+            continue
+        tour = sol.tour_customers(t)
+        span = min(params.max_string_len, len(tour))
+        length = int(rng.integers(1, span + 1))
+        if span > 1:
+            found.add("length drawn")
+        if length > 1:
+            found.add("offset drawn")
+        pos = tour.index(c)
+        lo = max(0, min(pos - int(rng.integers(length)), len(tour) - length))
+        removed += tour[lo : lo + length]
+        hit.add(t)
+        if len(hit) >= params.max_strings or len(removed) >= target:
+            found.add("ends on the string count" if len(removed) < target
+                      else "ends on the target")
+            return removed
+    found.add("walks every node")
+    return removed
+
+
+def traced_pick(sol, rng, found):
+    """``seed_random_remove`` as Floyd's algorithm and a shuffle, adding
+    to ``found`` an index drawn twice."""
+    assigned = sol.assigned_ids().tolist()
+    pop = len(assigned)
+    k = min(int(rng.integers(10, 21)), pop)
+    picked = []
+    for j in range(pop - k, pop):
+        v = int(rng.integers(j + 1)) if j else 0
+        if v in picked:
+            found.add("an index drawn twice")
+            v = j
+        picked.append(v)
+    for i in range(k - 1, 0, -1):
+        j = int(rng.integers(i + 1))
+        picked[i], picked[j] = picked[j], picked[i]
+    return [assigned[v] for v in picked]
+
+
+def test_removal_checks_reach_their_edges():
+    """The load-time check's removals (``_kernels._removals``) draw string
+    lengths and offsets from more than one value, end walks at the walk's
+    end, on the removal target and on the string count, and meet an index
+    that Floyd's algorithm draws twice. The traced copies here make the
+    same draws as the Python operators."""
+    found = set()
+    walks = _kernels._WALK_CHECKS
+    for i, (sol, _) in enumerate(lns.warm_cases()):
+        inst = sol.instance
+        rng = np.random.Generator(np.random.PCG64(_kernels._REMOVAL_SEED))
+        ref = np.random.Generator(np.random.PCG64(_kernels._REMOVAL_SEED))
+        params = StringRemovalParams(*walks[i % len(walks)])
+        assert traced_walk(inst, sol, rng, params, found) == operators._string_walk(
+            inst, sol, ref, params)
+        assert traced_pick(sol, rng, found) == operators._uniform_pick(inst, sol, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+    assert found == {"length drawn", "offset drawn", "walks every node", "ends on the target",
+                     "ends on the string count", "an index drawn twice"}
 
 
 def test_instances_refuse_negative_service():

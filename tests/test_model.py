@@ -269,6 +269,29 @@ def _random_partial(inst, rng):
     return sol
 
 
+@pytest.mark.parametrize("problem", ["cvrp", "vrptw", "pcvrp"])
+def test_tours_are_fresh_snapshots_of_each_row(gen, problem):
+    """``Solution.tours`` equals a per-row reading of the arrays, with a
+    list of int, an int demand and a float cost per tour, and returns new
+    objects on each call."""
+    inst = gen(problem=problem, n=25, seed=13, capacity=25)
+    sol = _random_partial(inst, make_rng(4))
+    assert sol.n_tours > 1
+    tours = sol.tours
+    assert len(tours) == sol.n_tours
+    for t, tour in enumerate(tours):
+        L = int(sol._lens[t])
+        assert tour.customers == [int(c) for c in sol._nodes[t, :L]]
+        assert tour.demand == int(sol._tdem[t]) and tour.cost == float(sol._tcost[t])
+        assert all(type(c) is int for c in tour.customers)
+        assert type(tour.demand) is int and type(tour.cost) is float
+    again = sol.tours
+    assert again == tours
+    assert all(a is not b and a.customers is not b.customers for a, b in zip(again, tours))
+    tours[0].customers.append(99)
+    assert sol.tours == again
+
+
 class TestRoundTripAndCaches:
     @pytest.mark.parametrize("problem", ["cvrp", "vrptw", "pcvrp"])
     def test_remove_reinsert_roundtrip(self, gen, problem):
