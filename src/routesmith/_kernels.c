@@ -29,12 +29,12 @@
  *
  * Each kernel takes one argument block (``rs_args``, mirrored by
  * ``_kernels._Args``). ``_kernels.py`` checks each array's dtype,
- * contiguity and shape the first time a call passes it; for a solution's
- * arena views and an instance's read-only views it keeps their addresses
- * and geometry in the block, and later calls that pass the same arrays
- * (still writable where written) only set the tour count, the ids, k and
- * the commits. The block also carries the kernels' own scratch memory,
- * allocated with it, so no call allocates.
+ * contiguity and shape when it builds a block. A solution keeps the block
+ * of its arena views and its instance's read-only views, and later calls
+ * on that solution that pass the same arrays (still writable where
+ * written) only set the tour count, the ids, k and the commits. The block
+ * also carries the kernels' own scratch memory, allocated with it, so no
+ * call allocates.
  *
  * Arrays are C-contiguous: nodes (rows x width, int32), lens (int32),
  * tdem (int64), tcost (float64), estart/lstart (rows x width float64, read
@@ -88,9 +88,9 @@ typedef struct {
     const double *service;
     const double *tws;
     const double *twe;
-    const double *prize; /* NULL until a reinsertion passes it */
-    const double *coords; /* NULL until a reinsertion passes it */
-    const int32_t *adjacency; /* (m x m-1); NULL until a removal operator passes it */
+    const double *prize; /* NULL in a block built by a detach */
+    const double *coords; /* NULL in a block built by a detach */
+    const int32_t *adjacency; /* (m x m-1); NULL unless a removal operator built the block */
     int64_t rows, width, m;
     int64_t capacity, problem, has_tw;
     int64_t n_tours;

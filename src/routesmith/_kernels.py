@@ -34,12 +34,12 @@ where the scalar Python kernels and operators run and numpy draws.
 its arguments, so the wrappers check every array's dtype, contiguity and
 shape, and that the arrays C writes are writable, before C sees it. Each
 kernel and removal operator takes one argument block (``_Args``), passed
-by address. A solution's arena views and an instance's read-only views are
-checked once: a record keeps the solution's block, with the kernels'
-scratch memory and a removal's output buffer, and a later call passing the
-same array objects, still writable where written, sets only the tour
-count, the ids, k, the commits and the codes in it (``_block``,
-``_instance_arrays``).
+by address, which also holds the kernels' scratch memory and a removal's
+output buffer. The block belongs to the solution whose arrays it
+addresses (``Solution._block``): callers pass the solution, and a call
+passing the same array objects as the block's, still writable where
+written, sets only the tour count, the ids, k, the commits and the codes
+in it; any other call checks every array (``_block_for``).
 
 Each piece of the greedy insertion rule has one Python home here, used by
 ``greedy_insert_scalar`` and by ``model.insertion_delta``/
@@ -50,13 +50,13 @@ retimes VRPTW rows with ``retime``). ``_kernels.c`` is the only other copy.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import hashlib
 import os
 import shutil
 import tempfile
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -129,12 +129,15 @@ def remove_ids_scalar(
     tws,
     twe,
     has_tw,
+    solution=None,
 ):
     """Detach customers from their tours; empty tours are swap-deleted.
 
     Returns (new tour count, travel-cost delta). An id that is unassigned
     at its turn (a repeat included) is skipped. The caller adds the
-    detached customers' prizes to the prize penalty.
+    detached customers' prizes to the prize penalty. ``solution`` is not
+    read (only the C backend keeps a block on it), so this kernel can stand
+    in for ``remove_ids``.
     """
     cost_delta = 0.0
     nt = n_tours
@@ -287,6 +290,7 @@ def greedy_insert_scalar(
     problem,
     commits,
     coords,
+    solution=None,
 ):
     """Insert customers one by one at their cheapest feasible position.
 
@@ -303,7 +307,8 @@ def greedy_insert_scalar(
     This loop prices every slot: it is the reference that the compiled
     kernel's pruned scan is checked against. ``coords`` (the instance's
     coordinates, of which ``dist`` is the Euclidean distance matrix) is
-    read only by that pruning.
+    read only by that pruning. ``solution`` is not read, as in
+    ``remove_ids_scalar``.
 
     Returns (new tour count, travel-cost delta, recouped prize total).
     """
@@ -365,29 +370,32 @@ def is_order(order, unassigned):
 
 def greedy_insert(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                   n_tours, order, dist, demand, capacity, service, tws, twe,
-                  prize, problem, commits, coords):
+                  prize, problem, commits, coords, solution=None):
     """``greedy_insert_scalar`` on the selected backend (same contract).
 
     On the C backend it is the compiled kernel, which makes the same
     decisions with a pruned scan; interpreted, it is the scalar loop
-    itself. Both agree bit for bit.
+    itself. Both agree bit for bit. ``solution``, the ``model.Solution``
+    whose arrays these are, lets the C backend reuse the argument block it
+    keeps (``_block_for``).
     """
     if _compiled is not None:
-        return _greedy_insert_c(_compiled[0], nodes, lens, tdem, tcost, estart, lstart,
+        return _greedy_insert_c(_compiled.greedy_insert, nodes, lens, tdem, tcost, estart, lstart,
                                 tour_of, unassigned, n_tours, order, dist, demand, capacity,
-                                service, tws, twe, prize, problem, commits, coords)
+                                service, tws, twe, prize, problem, commits, coords, solution)
     return greedy_insert_scalar(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                                 n_tours, order, dist, demand, capacity, service, tws, twe,
                                 prize, problem, commits, coords)
 
 
 def remove_ids(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-               ids, dist, demand, service, tws, twe, has_tw):
-    """``remove_ids_scalar`` on the selected backend (same contract)."""
+               ids, dist, demand, service, tws, twe, has_tw, solution=None):
+    """``remove_ids_scalar`` on the selected backend (same contract);
+    ``solution`` as for ``greedy_insert``."""
     if _compiled is not None:
-        return _remove_ids_c(_compiled[1], nodes, lens, tdem, tcost, estart, lstart,
+        return _remove_ids_c(_compiled.remove_ids, nodes, lens, tdem, tcost, estart, lstart,
                              tour_of, unassigned, n_tours, ids, dist, demand, service,
-                             tws, twe, has_tw)
+                             tws, twe, has_tw, solution)
     return remove_ids_scalar(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                              n_tours, ids, dist, demand, service, tws, twe, has_tw)
 
@@ -403,11 +411,11 @@ def integers(rng, lo, hi):
     lock, as numpy's does.
     """
     if (type(lo) is int and type(hi) is int and 0 < hi - lo <= 0xFFFFFFFF
-            and _INT64_MIN <= lo and hi <= _INT64_END and _draw is not None
+            and _INT64_MIN <= lo and hi <= _INT64_END and _compiled is not None
             and type(rng) is np.random.Generator):
         bits = rng.bit_generator
         with bits.lock:
-            return _draw(bits.ctypes.bit_generator, lo, hi - lo)
+            return _compiled.integers(bits.ctypes.bit_generator, lo, hi - lo)
     return int(rng.integers(lo, hi))
 
 
@@ -423,9 +431,10 @@ _SOURCE = Path(__file__).with_name("_kernels.c")
 # "c" or "interpreted", and why; set by ``load_compiled``.
 BACKEND = "interpreted"
 BACKEND_REASON = "compiled kernels not loaded (lns.warm_kernels was not called)"
-# (rs_greedy_insert, rs_remove_ids, rs_string_remove, rs_uniform_remove) and
-# rs_integers while the C backend is selected
-_compiled = _draw = None
+# the functions of the C library while the C backend is selected, else None
+_Library = collections.namedtuple(
+    "_Library", "greedy_insert remove_ids string_remove uniform_remove integers")
+_compiled = None
 
 _INT64_MIN = -(1 << 63)
 _INT64_END = 1 << 63  # one past the largest int64
@@ -452,113 +461,80 @@ def _address(name, a, dtype, shape, writes):
     return a.ctypes.data
 
 
+# (name, dtype) of the arrays a block addresses: a solution's eight state
+# arrays, which C writes, then an instance's arrays, which it only reads
+_ARRAYS = (("nodes", _I32), ("lens", _I32), ("tdem", _I64), ("tcost", _F64),
+           ("estart", _F64), ("lstart", _F64), ("tour_of", _I32), ("unassigned", _BOOL),
+           ("dist", _F64), ("demand", _I64), ("service", _F64), ("tws", _F64), ("twe", _F64),
+           ("prize", _F64), ("coords", _F64), ("adjacency", _I32))
+
+
 class _Args(ctypes.Structure):
     """``rs_args`` of ``_kernels.c``: the argument block of a solution's calls,
     passed to C by its ``address``."""
 
-    _fields_ = [(name, ctypes.c_void_p) for name in (
-        "nodes", "lens", "tdem", "tcost", "estart", "lstart", "tour_of", "unassigned",
-        "dist", "demand", "service", "tws", "twe", "prize", "coords", "adjacency")] + [
+    _fields_ = [(name, ctypes.c_void_p) for name, _ in _ARRAYS] + [
         (name, ctypes.c_int64) for name in (
             "rows", "width", "m", "capacity", "problem", "has_tw", "n_tours")] + [
         ("ids", ctypes.c_void_p), ("k", ctypes.c_int64), ("commits", ctypes.c_void_p),
         ("cost", ctypes.c_double), ("recouped", ctypes.c_double), ("scratch", ctypes.c_void_p)]
 
 
-# Records of checked arguments. A solution's eight state arrays, and an
-# instance's read-only arrays, are checked in full the first time a call
-# passes them; if none of them owns its data (arena views, an instance's
-# read-only views), a record keeps weak references to them and what the
-# check found: the state's argument block, the instance's addresses. A later
-# call passing the recorded objects (an ``is`` test), with its output arrays
-# still writable, reuses that; any other call is checked in full. numpy
-# cannot resize an array that does not own its data, and C never reads a
-# view's current shape, so a recorded address holds while the array lives.
-# A record goes away with the array it is keyed on, and keeps nothing alive.
-_states = {}  # id(nodes) -> (refs, block, rows, m, timing rows full-size)
-# id(dist) -> (refs, (addresses, m)); prize's and coords' refs are None until a
-# reinsertion passes them, adjacency's until a removal operator does
-_inputs = {}
+def _block_for(solution, has_tw, n_tours, name, ids, nodes, lens, tdem, tcost, estart, lstart,
+               tour_of, unassigned, dist, demand, service, tws, twe, prize=None, coords=None,
+               adjacency=None):
+    """The argument block of a solution's eight state arrays and an
+    instance's arrays (``prize`` and ``coords`` are None on detach,
+    ``adjacency`` on detach and reinsertion), with the tour count and the
+    int64 ``ids`` (called ``name``) set. ``ids`` None is a removal
+    operator's call, which only reads the arrays and writes into the
+    block's own buffer ``out`` of m ids.
 
-
-def _remember(table, arrays, value):
-    """Record ``value`` for ``arrays`` in ``table``, keyed on the first
-    array, if none of them owns its data."""
-    if any(a.base is None for a in arrays if a is not None):
-        return
-    key = id(arrays[0])
-
-    def forget(ref):
-        record = table.get(key)
-        if record is not None and record[0][0] is ref:
-            del table[key]
-
-    refs = (weakref.ref(arrays[0], forget),) + tuple(
-        None if a is None else weakref.ref(a) for a in arrays[1:])
-    table[key] = (refs, *value)
-
-
-def _instance_arrays(dist, demand, service, tws, twe, prize=None, coords=None,
-                     adjacency=None):
-    """(addresses, m) of an instance's arrays (``prize`` and ``coords`` are
-    None on detach, ``adjacency`` on detach and reinsertion), from their
-    record or from a full check that raises on anything C cannot read.
-    A removal operator passes them all, so one record serves every call."""
-    rec = _inputs.get(id(dist))
-    if rec is not None:
-        r = rec[0]
-        if (r[0]() is dist and r[1]() is demand and r[2]() is service and r[3]() is tws
-                and r[4]() is twe and (prize is None or r[5] is not None and r[5]() is prize)
-                and (coords is None or r[6] is not None and r[6]() is coords)
-                and (adjacency is None or r[7] is not None and r[7]() is adjacency)):
-            return rec[1]
-    if not isinstance(dist, np.ndarray) or dist.ndim != 2:
-        raise InputError("dist: need a 2-D array")
-    m = dist.shape[0]
-    arrays = (dist, demand, service, tws, twe, prize, coords, adjacency)
-    value = tuple(
-        None if a is None else _address(name, a, dtype, shape, False)
-        for a, (name, dtype, shape) in zip(arrays, (
-            ("dist", _F64, (m, m)), ("demand", _I64, (m,)), ("service", _F64, (m,)),
-            ("tws", _F64, (m,)), ("twe", _F64, (m,)), ("prize", _F64, (m,)),
-            ("coords", _F64, (m, 2)), ("adjacency", _I32, (m, m - 1))))
-    ), m
-    _remember(_inputs, arrays, (value,))
-    return value
-
-
-def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours, has_tw,
-           inputs, name, ids):
-    """The argument block of a solution's arrays, for an instance whose
-    checked arrays are ``inputs`` ((addresses, m)), with the tour count
-    and the int64 ``ids`` (called ``name``) set: from their record or from
-    a full check that raises on anything C cannot read or write. ``ids``
-    None is a removal operator's call, which only reads the arrays and
-    writes into the block's own buffer ``out`` of m ids."""
-    m = inputs[1]
+    ``solution._block`` is reused when it holds these very arrays, with
+    full-size timing rows where VRPTW reads them and, on a call that
+    writes, writable state arrays. Otherwise every array is checked into a
+    new block, raising on anything C cannot read or write, and
+    ``solution`` keeps it when none of the arrays owns its data: numpy
+    cannot resize such an array and C never reads a view's current shape,
+    so the addresses hold while the block holds the arrays. The block does
+    not refer to the solution, so it dies with it.
+    """
     writes = ids is not None
-    rec = _states.get(id(nodes))
-    r = rec and rec[0]
-    if (r and rec[3] == m and (rec[4] or not has_tw) and r[0]() is nodes
-            and r[1]() is lens and r[2]() is tdem and r[3]() is tcost and r[4]() is estart
-            and r[5]() is lstart and r[6]() is tour_of and r[7]() is unassigned
-            and (not writes or nodes.flags.writeable and lens.flags.writeable
-                 and tdem.flags.writeable and tcost.flags.writeable and estart.flags.writeable
-                 and lstart.flags.writeable and tour_of.flags.writeable
-                 and unassigned.flags.writeable)):
-        blk, rows = rec[1], rec[2]
-    else:
+    blk = None if solution is None else solution._block
+    if blk is not None:
+        # named arrays in one ``is`` chain: a tuple compared with
+        # ``all(map(operator.is_, ...))`` makes this step a fifth slower
+        held = blk.arrays
+        if not (held[0] is nodes and held[1] is lens and held[2] is tdem and held[3] is tcost
+                and held[4] is estart and held[5] is lstart and held[6] is tour_of
+                and held[7] is unassigned and held[8] is dist and held[9] is demand
+                and held[10] is service and held[11] is tws and held[12] is twe
+                and (prize is None or held[13] is prize)
+                and (coords is None or held[14] is coords)
+                and (adjacency is None or held[15] is adjacency)
+                and (blk.full_timing or not has_tw)
+                and (not writes or nodes.flags.writeable and lens.flags.writeable
+                     and tdem.flags.writeable and tcost.flags.writeable
+                     and estart.flags.writeable and lstart.flags.writeable
+                     and tour_of.flags.writeable and unassigned.flags.writeable)):
+            blk = None
+    if blk is None:
         if not isinstance(nodes, np.ndarray) or nodes.ndim != 2:
             raise InputError("nodes: need a 2-D array")
+        if not isinstance(dist, np.ndarray) or dist.ndim != 2:
+            raise InputError("dist: need a 2-D array")
         rows, width = nodes.shape
+        m = dist.shape[0]
         times = (rows, width) if has_tw else None  # the timing rows are used only on VRPTW
-        state = (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned)
-        blk = _Args(*(_address(what, a, dtype, shape, writes) for a, (what, dtype, shape) in zip(
-            state, (("nodes", _I32, (rows, width)), ("lens", _I32, (rows,)),
-                    ("tdem", _I64, (rows,)), ("tcost", _F64, (rows,)), ("estart", _F64, times),
-                    ("lstart", _F64, times), ("tour_of", _I32, (m,)),
-                    ("unassigned", _BOOL, (m,))))), rows=rows, width=width, m=m)
-        blk.inputs = None
+        shapes = ((rows, width), (rows,), (rows,), (rows,), times, times, (m,), (m,),
+                  (m, m), (m,), (m,), (m,), (m,), (m,), (m, 2), (m, m - 1))
+        arrays = (nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, dist, demand,
+                  service, tws, twe, prize, coords, adjacency)
+        blk = _Args(*(None if a is None else _address(what, a, dtype, shape, writes and i < 8)
+                      for i, (a, (what, dtype), shape) in enumerate(zip(arrays, _ARRAYS, shapes))),
+                    rows=rows, width=width, m=m)
+        blk.arrays = arrays
+        blk.full_timing = estart.shape == lstart.shape == (rows, width)
         # passing the address costs less than ctypes' conversion of the block
         blk.address = ctypes.addressof(blk)
         blk.out = np.empty(m, dtype=np.int64)
@@ -566,13 +542,10 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
         # the kernels' own memory (rs_args.scratch), allocated once a block
         blk.memory = np.empty(40 * rows + 5 * m, dtype=np.uint8)
         blk.scratch = blk.memory.ctypes.data
-        _remember(_states, state, (blk, rows, m, estart.shape == lstart.shape == (rows, width)))
-    if not 0 <= n_tours <= rows:
+        if solution is not None and all(a.base is not None for a in arrays if a is not None):
+            solution._block = blk
+    if not 0 <= n_tours <= blk.rows:
         raise InputError(f"n_tours out of range: {n_tours}")
-    if blk.inputs is not inputs:
-        (blk.dist, blk.demand, blk.service, blk.tws, blk.twe, blk.prize, blk.coords,
-         blk.adjacency), _ = inputs
-        blk.inputs = inputs
     blk.n_tours = n_tours
     if writes:
         k = ids.shape[0]
@@ -580,19 +553,18 @@ def _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tour
         blk.k = k
     else:
         blk.ids = blk.out_address
-        blk.k = m
+        blk.k = blk.m
     return blk
 
 
 def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
                      n_tours, order, dist, demand, capacity, service, tws, twe, prize,
-                     problem, commits, coords):
+                     problem, commits, coords, solution=None):
     if problem not in (CVRP, VRPTW, PCVRP):
         raise InputError(f"unknown problem code: {problem}")
-    blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-                 problem == VRPTW,
-                 _instance_arrays(dist, demand, service, tws, twe, prize, coords),
-                 "order", order)
+    blk = _block_for(solution, problem == VRPTW, n_tours, "order", order, nodes, lens, tdem,
+                     tcost, estart, lstart, tour_of, unassigned, dist, demand, service, tws,
+                     twe, prize, coords)
     blk.commits = _address("commits", commits, _I64, (blk.k, 2), True)
     blk.capacity = capacity
     blk.problem = problem
@@ -600,9 +572,9 @@ def _greedy_insert_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, 
 
 
 def _remove_ids_c(kernel, nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned,
-                  n_tours, ids, dist, demand, service, tws, twe, has_tw):
-    blk = _block(nodes, lens, tdem, tcost, estart, lstart, tour_of, unassigned, n_tours,
-                 has_tw, _instance_arrays(dist, demand, service, tws, twe), "ids", ids)
+                  n_tours, ids, dist, demand, service, tws, twe, has_tw, solution=None):
+    blk = _block_for(solution, has_tw, n_tours, "ids", ids, nodes, lens, tdem, tcost, estart,
+                     lstart, tour_of, unassigned, dist, demand, service, tws, twe)
     blk.has_tw = bool(has_tw)
     return kernel(blk.address), blk.cost
 
@@ -614,11 +586,10 @@ def removal(kernel, instance, solution, rng, *params):
     ``rng``, a ``numpy.random.Generator``, under its bit generator's lock.
     Returns the removed ids as a list of int."""
     s, inst = solution, instance
-    blk = _block(s._nodes, s._lens, s._tdem, s._tcost, s._estart, s._lstart, s._tour_of,
-                 s._unassigned, s.n_tours, False,
-                 _instance_arrays(inst.dist, inst.demand, inst.service, inst.tw_start,
-                                  inst.tw_end, inst.prize, inst.coords, inst.adjacency),
-                 "out", None)
+    blk = _block_for(s, False, s.n_tours, "out", None, s._nodes, s._lens, s._tdem, s._tcost,
+                     s._estart, s._lstart, s._tour_of, s._unassigned, inst.dist, inst.demand,
+                     inst.service, inst.tw_start, inst.tw_end, inst.prize, inst.coords,
+                     inst.adjacency)
     bits = rng.bit_generator
     with bits.lock:
         k = kernel(blk.address, bits.ctypes.bit_generator, *params)
@@ -717,50 +688,50 @@ def _build(cc, key):
 
 
 def _open(path, cases):
-    """The C kernels and operators and the draw of the library at ``path``,
-    once the kernels agree with the Python kernels on every case, the
-    operators with the Python operators and the draw with numpy."""
+    """The functions of the library at ``path`` (a ``_Library``), once its
+    kernels agree with the Python kernels on every case, its operators with
+    the Python operators and its draw with numpy."""
     try:
         lib = ctypes.CDLL(str(path))
         # called with the GIL held: a draw or a removal is short, and it
         # runs under the bit generator's lock
         pylib = ctypes.PyDLL(str(path))
-        kernels = (lib.rs_greedy_insert, lib.rs_remove_ids, pylib.rs_string_remove,
-                   pylib.rs_uniform_remove)
-        draw = pylib.rs_integers
+        funcs = _Library(lib.rs_greedy_insert, lib.rs_remove_ids, pylib.rs_string_remove,
+                         pylib.rs_uniform_remove, pylib.rs_integers)
     except (OSError, AttributeError) as exc:
         raise _Unavailable(f"cannot load {path}: {exc}") from None
     # each kernel takes the address of a block, then a removal operator the
-    # bit generator and its parameters
-    for kernel, params in zip(kernels, (
-            [], [], [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32, ctypes.c_int64,
-                     ctypes.c_int64],
+    # bit generator and its parameters; the draw takes the bit generator
+    for func, argtypes in zip(funcs, (
+            [ctypes.c_void_p], [ctypes.c_void_p],
+            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32, ctypes.c_int64,
+             ctypes.c_int64],
+            [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32],
             [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32])):
-        kernel.argtypes = [ctypes.c_void_p] + params
-        kernel.restype = ctypes.c_int64
-    draw.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_uint32]
-    draw.restype = ctypes.c_int64
+        func.argtypes = argtypes
+        func.restype = ctypes.c_int64
     for sol, ids in cases:
-        if _detach_and_reinsert(kernels, sol, ids) != _detach_and_reinsert(None, sol, ids):
+        if _detach_and_reinsert(funcs, sol, ids) != _detach_and_reinsert(None, sol, ids):
             raise _Unavailable(f"{path} disagrees with the Python kernels")
-    if _removals(kernels, cases) != _removals(None, cases):
+    if _removals(funcs, cases) != _removals(None, cases):
         raise _Unavailable(f"{path} removes other ids than the Python operators")
-    if _draws(draw) != _draws(None):
+    if _draws(funcs.integers) != _draws(None):
         raise _Unavailable(f"{path} draws other numbers than numpy")
-    return kernels, draw
+    return funcs
 
 
 _STATE = ("_nodes", "_lens", "_tdem", "_tcost", "_estart", "_lstart", "_tour_of", "_unassigned")
 
 
-def _detach_and_reinsert(kernels, sol, ids):
+def _detach_and_reinsert(funcs, sol, ids):
     """Every array and value written by detaching ``ids`` from a copy of
-    solution ``sol``'s arrays and reinserting them ascending, as bytes; C
-    kernels when ``kernels`` is given, the Python ones otherwise."""
+    solution ``sol``'s arrays and reinserting them ascending, as bytes; the
+    kernels of ``funcs`` (a ``_Library``) when it is given, the Python ones
+    otherwise."""
     remove, insert = remove_ids_scalar, greedy_insert_scalar
-    if kernels is not None:
-        insert = functools.partial(_greedy_insert_c, kernels[0])
-        remove = functools.partial(_remove_ids_c, kernels[1])
+    if funcs is not None:
+        insert = functools.partial(_greedy_insert_c, funcs.greedy_insert)
+        remove = functools.partial(_remove_ids_c, funcs.remove_ids)
     arrays = [getattr(sol, name).copy() for name in _STATE]
     inst = sol.instance
     problem = inst.problem.code
@@ -785,10 +756,10 @@ _REMOVAL_SEED = 12
 _WALK_CHECKS = ((10, 10, 4), (3, 1, 4), (2, 10, 1))
 
 
-def _removals(kernels, cases):
+def _removals(funcs, cases):
     """The ids of the check's removals from each case's solution and the
-    generator's state after: by the compiled operators of ``kernels`` when
-    it is given, by the Python operators otherwise."""
+    generator's state after: by the compiled operators of ``funcs`` when it
+    is given, by the Python operators otherwise."""
     from . import operators  # it imports this module, so only once both are loaded
 
     out = []
@@ -796,10 +767,10 @@ def _removals(kernels, cases):
         inst = sol.instance
         rng = np.random.Generator(np.random.PCG64(_REMOVAL_SEED))
         params = operators.StringRemovalParams(*_WALK_CHECKS[i % len(_WALK_CHECKS)])
-        out.append(removal(kernels[2], inst, sol, rng, *operators._walk_args(params))
-                   if kernels else operators._string_walk(inst, sol, rng, params))
-        out.append(removal(kernels[3], inst, sol, rng, *operators._UNIFORM_ARGS)
-                   if kernels else operators._uniform_pick(inst, sol, rng))
+        out.append(removal(funcs.string_remove, inst, sol, rng, *operators._walk_args(params))
+                   if funcs else operators._string_walk(inst, sol, rng, params))
+        out.append(removal(funcs.uniform_remove, inst, sol, rng, *operators._UNIFORM_ARGS)
+                   if funcs else operators._uniform_pick(inst, sol, rng))
         out.append(rng.bit_generator.state)
     return out
 
@@ -841,13 +812,13 @@ def load_compiled(build, cases):
     without it (evaluation children, which run under a memory limit)
     nothing is ever compiled. Otherwise the interpreted kernels run.
     """
-    global BACKEND, BACKEND_REASON, _compiled, _draw
+    global BACKEND, BACKEND_REASON, _compiled
     try:
         cc, key = _library_key()
         why = "no compiled kernels in the cache"
         for path in _cached(key):
             try:
-                _compiled, _draw = _open(path, cases)
+                _compiled = _open(path, cases)
                 BACKEND, BACKEND_REASON = "c", f"loaded {path}"
                 return
             except _Unavailable as exc:
@@ -855,8 +826,8 @@ def load_compiled(build, cases):
         if not build:
             raise _Unavailable(f"{why}; this process does not compile")
         path = _build(cc, key)
-        _compiled, _draw = _open(path, cases)
+        _compiled = _open(path, cases)
         BACKEND, BACKEND_REASON = "c", f"built {path}"
     except _Unavailable as exc:
-        _compiled = _draw = None
+        _compiled = None
         BACKEND, BACKEND_REASON = "interpreted", str(exc)

@@ -30,8 +30,8 @@ class LnsConfig:
     set; when both are set the run stops at whichever is hit first and the
     annealing fraction follows the more advanced budget. Temperatures
     default to 0.05 / 1e-4 times the initial objective when left None.
-    ``validate_mode``: "off", "sampled" (every 1024th accepted candidate),
-    or "full" (every accepted candidate).
+    ``validate_mode``: "sampled" (every 1024th accepted candidate) or
+    "full" (every accepted candidate).
     """
 
     time_limit: float | None = None
@@ -54,7 +54,7 @@ class LnsConfig:
         if self.sa_initial_temp is not None:
             if not (self.sa_initial_temp >= self.sa_final_temp > 0):
                 raise ConfigError("need sa_initial_temp >= sa_final_temp > 0")
-        if self.validate_mode not in ("off", "sampled", "full"):
+        if self.validate_mode not in ("sampled", "full"):
             raise ConfigError(f"unknown validate_mode: {self.validate_mode}")
 
 
@@ -235,6 +235,7 @@ def greedy_reinsert(partial: Solution, order, commits_out: list | None = None) -
         inst.problem.code,
         commits,
         inst.coords,
+        solution=partial,
     )
     if nt < 0:  # the kernel refused the order and wrote nothing
         raise OperatorProtocolError("order is not a permutation of the unassigned set")

@@ -20,10 +20,12 @@ per-tour and per-customer vectors (and, outside VRPTW, the unused 1 x 1
 timing arrays), which fill one contiguous prefix, then the tour-row arrays
 ``_nodes`` and, on VRPTW, ``_estart``/``_lstart``, each ``(n, width)``.
 Every array starts on an 8-byte boundary. The views do not own their data,
-so numpy cannot resize them, and ``_kernels`` may keep their addresses for
-as long as they live. They are the solution's state: rebinding one of
+so numpy cannot resize them, and the solution keeps the compiled kernels'
+argument block of their addresses (``_block``, built by ``_kernels`` at the
+first compiled call). They are the solution's state: rebinding one of
 these attributes is outside the contract, and a clone copies the arena,
-not the attributes.
+not the attributes; a fresh clone starts without a block, and a clone into
+another solution keeps that solution's block.
 
 Live rows. Nothing reads a tour row at or past ``n_tours``, nor a slot at
 or past ``_lens[t]`` of a live row: not the kernels (both backends), not
@@ -185,9 +187,9 @@ class Instance:
             width = m - 1
         self.tour_width = max(1, width)
 
-        # read-only views: numpy cannot resize a view, so the kernels may
-        # keep the addresses of these arrays (and a caller's array passed
-        # in is frozen too)
+        # read-only views: numpy cannot resize a view, so a solution's
+        # argument block may keep the addresses of these arrays (and a
+        # caller's array passed in is frozen too)
         for name in ("coords", "dist", "demand", "service", "tw_start", "tw_end", "prize",
                      "adjacency"):
             arr = getattr(self, name)
@@ -281,6 +283,7 @@ class Solution:
         "n_tours",
         "_total_cost",
         "_prize_penalty",
+        "_block",
     )
 
     def __init__(self, instance: Instance):
@@ -292,8 +295,10 @@ class Solution:
         self._prize_penalty = 0.0
 
     def _bind(self, arena: np.ndarray) -> None:
-        """Own ``arena`` and take the state arrays as views into it."""
+        """Own ``arena`` and take the state arrays as views into it; the
+        compiled kernels' argument block is built at their first call."""
         self._arena = arena
+        self._block = None
         for name, dtype, shape, offset in self.instance._layout.fields:
             setattr(self, name, np.ndarray(shape, dtype, buffer=arena, offset=offset))
 
@@ -597,6 +602,7 @@ def remove_customers(solution: Solution, ids) -> Solution:
         inst.tw_start,
         inst.tw_end,
         inst.problem is Problem.VRPTW,
+        solution=solution,
     )
     solution.n_tours = int(nt)
     solution._total_cost += float(cost_delta)

@@ -42,7 +42,8 @@ _UNIFORM_ARGS = (10, 11)
 def seed_random_remove(instance: Instance, solution: Solution, rng) -> list[int]:
     """Uniform random selection of 10..20 assigned customers (clamped)."""
     if _kernels._compiled is not None and type(rng) is np.random.Generator:
-        return _kernels.removal(_kernels._compiled[3], instance, solution, rng, *_UNIFORM_ARGS)
+        return _kernels.removal(_kernels._compiled.uniform_remove, instance, solution, rng,
+                                *_UNIFORM_ARGS)
     return _uniform_pick(instance, solution, rng)
 
 
@@ -94,7 +95,7 @@ def string_remove(
     args = _walk_args(params)
     if (args is not None and _kernels._compiled is not None
             and type(rng) is np.random.Generator):
-        return _kernels.removal(_kernels._compiled[2], instance, solution, rng, *args)
+        return _kernels.removal(_kernels._compiled.string_remove, instance, solution, rng, *args)
     return _string_walk(instance, solution, rng, params)
 
 

@@ -13,6 +13,7 @@ their walks and picks. The public primitives
 commit a customer exactly as one step of the scalar kernel.
 """
 
+import gc
 import math
 import os
 import shutil
@@ -30,7 +31,8 @@ from routesmith import _kernels, lns
 from routesmith.cli import main as cli_main
 from routesmith.errors import InputError, InstanceError
 from routesmith.instances import GenParams, generate, save
-from routesmith.model import Instance, Problem, Solution, insert_customer, insertion_delta
+from routesmith.model import (Instance, Problem, Solution, insert_customer, insertion_delta,
+                              remove_customers)
 from routesmith import operators
 from routesmith.operators import StringRemovalParams, builtin_pair
 
@@ -116,7 +118,7 @@ def test_kernel_source_builds_without_warnings(tmp_path):
 def keep_backend(monkeypatch):
     """Restore the selected backend when the test ends; until then,
     ``lns.warm_kernels`` selects again."""
-    for name in ("BACKEND", "BACKEND_REASON", "_compiled", "_draw"):
+    for name in ("BACKEND", "BACKEND_REASON", "_compiled"):
         monkeypatch.setattr(_kernels, name, getattr(_kernels, name))
     monkeypatch.setattr(lns, "_warmed", False)
 
@@ -382,7 +384,7 @@ def test_compiled_draws_match_numpy(seed, draws):
     the generator where numpy leaves it, between numpy's own draws (which
     share its buffered 32-bit half)."""
     needs_c()
-    assert _kernels._draw is not None
+    assert _kernels._compiled.integers is not None
     mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     for kind, lo, span in draws:
         if kind == "integers":
@@ -424,27 +426,29 @@ def test_other_draws_go_to_numpy(lo, hi):
 STATE = ("_nodes", "_lens", "_tdem", "_tcost", "_estart", "_lstart", "_tour_of", "_unassigned")
 
 
-def insert_direct(s, order, **swap):
+def insert_direct(s, order, solution=None, **swap):
     """``greedy_insert`` on ``s``'s own arrays, the named ones swapped."""
     inst = s.instance
     commits = np.empty((order.shape[0], 2), dtype=np.int64)
     return _kernels.greedy_insert(
         *[swap.get(name, getattr(s, name)) for name in STATE], s.n_tours, order, inst.dist,
         inst.demand, inst.capacity, inst.service, inst.tw_start, inst.tw_end, inst.prize,
-        inst.problem.code, commits, inst.coords)
+        inst.problem.code, commits, inst.coords, solution=solution)
 
 
-def remove_direct(s, ids, **swap):
+def remove_direct(s, ids, solution=None, **swap):
     """``remove_ids`` on ``s``'s own arrays, the named ones swapped."""
     inst = s.instance
     return _kernels.remove_ids(
         *[swap.get(name, getattr(s, name)) for name in STATE], s.n_tours, ids, inst.dist,
-        inst.demand, inst.service, inst.tw_start, inst.tw_end, inst.problem is Problem.VRPTW)
+        inst.demand, inst.service, inst.tw_start, inst.tw_end, inst.problem is Problem.VRPTW,
+        solution=solution)
 
 
 def test_compiled_kernels_refuse_arrays_they_cannot_read():
-    """Bad arrays go to the kernels directly, on a solution never passed
-    before and on one whose arrays a call has already recorded."""
+    """Bad arrays go to the kernels directly: without a solution, and
+    through a solution that already keeps the argument block of its own
+    arrays, which a bad array must not reuse."""
     needs_c()
     sol, order = make_case(Problem.VRPTW, 12, 1, False, False, 1, 3)
     assert order.size and sol.n_tours
@@ -459,40 +463,43 @@ def test_compiled_kernels_refuse_arrays_they_cannot_read():
                       ("_nodes", np.ravel),
                       ("_lstart", lambda a: a[:, :1].copy()),
                       ("_tour_of", lambda a: a[:-1].copy())):
-        for recorded in (False, True):
+        for owned in (False, True):
             s = sol.clone()
-            if recorded:
-                remove_direct(s, ids[:0])
-                insert_direct(s, order[:0])
+            mine = s if owned else None
+            if owned:
+                remove_direct(s, ids[:0], solution=s)
+                insert_direct(s, order[:0], solution=s)
+                assert s._block is not None
             swap = {name: bad(getattr(s, name))}
             with pytest.raises(InputError, match=name[1:]):
-                insert_direct(s, order, **swap)
+                insert_direct(s, order, solution=mine, **swap)
             with pytest.raises(InputError, match=name[1:]):
-                remove_direct(s, ids, **swap)
-    # after a recorded call: a rebound array, and a view made read-only
+                remove_direct(s, ids, solution=mine, **swap)
+    # through a solution that keeps its block: a rebound array, and a view
+    # made read-only
     s = sol.clone()
-    insert_direct(s, order[:0])
+    insert_direct(s, order[:0], solution=s)
     s._tdem = s._tdem.astype(np.int32)
     with pytest.raises(InputError, match="tdem"):
-        insert_direct(s, order)
+        insert_direct(s, order, solution=s)
     with pytest.raises(InputError, match="tdem"):
-        remove_direct(s, ids)
+        remove_direct(s, ids, solution=s)
     s = sol.clone()
-    remove_direct(s, ids[:0])
+    remove_direct(s, ids[:0], solution=s)
     s._tour_of.flags.writeable = False
     with pytest.raises(InputError, match="tour_of: the array is read-only"):
-        insert_direct(s, order)
+        insert_direct(s, order, solution=s)
     with pytest.raises(InputError, match="tour_of: the array is read-only"):
-        remove_direct(s, ids)
+        remove_direct(s, ids, solution=s)
     s = sol.clone()
     with pytest.raises(InputError, match="tour_of: the array is read-only"):
         remove_direct(s, ids, _tour_of=s.customer_to_tour)
 
 
 def test_recorded_block_follows_the_instance_of_each_call():
-    """One solution's recorded argument block, called with the arrays of
-    two instances of one size in turn: every detach and reinsertion
-    writes what the scalar kernels write."""
+    """One solution's argument block, called with the arrays of two
+    instances of one size in turn: every detach and reinsertion writes
+    what the scalar kernels write."""
     needs_c()
     sol, _ = make_case(Problem.PCVRP, 12, 4, False, False, 1, 3)
     other, _ = make_case(Problem.PCVRP, 12, 5, False, False, 1, 3)
@@ -507,29 +514,59 @@ def test_recorded_block_follows_the_instance_of_each_call():
                                    _kernels.greedy_insert_scalar)):
             arrays = [getattr(s, name) for name in STATE]
             nt, cost = remove(*arrays, s.n_tours, ids, inst.dist, inst.demand, inst.service,
-                              inst.tw_start, inst.tw_end, False)
+                              inst.tw_start, inst.tw_end, False, solution=s)
             commits = np.empty((order.size, 2), dtype=np.int64)
             s.n_tours, *sums = insert(*arrays, nt, order, inst.dist, inst.demand,
                                       inst.capacity, inst.service, inst.tw_start, inst.tw_end,
-                                      inst.prize, inst.problem.code, commits, inst.coords)
+                                      inst.prize, inst.problem.code, commits, inst.coords,
+                                      solution=s)
             outs.append(([a.tobytes() for a in arrays + [commits]], cost, sums, s.n_tours))
         assert outs[0] == outs[1]
 
 
-def test_kernel_records_die_with_their_arrays():
-    """A record of checked arrays keeps neither a solution's arena nor an
-    instance's arrays alive, and goes away with them."""
+def test_kernel_blocks_die_with_their_solutions():
+    """A solution's argument block holds its arena and its instance's
+    arrays without a reference cycle: they go with the solution and the
+    instance, with the cycle collector off."""
     needs_c()
     sol, order = make_case(Problem.PCVRP, 12, 3, False, False, 1, 3)
     inst = sol.instance
-    insert_direct(sol, order)
-    remove_direct(sol, sol.assigned_ids())
-    keys = id(sol._nodes), id(inst.dist)
-    assert keys[0] in _kernels._states and keys[1] in _kernels._inputs
+    insert_direct(sol, order, solution=sol)
+    remove_direct(sol, sol.assigned_ids(), solution=sol)
+    operators.string_remove(inst, sol, np.random.default_rng(1))
+    assert sol._block is not None
     arena, dist = weakref.ref(sol._arena), weakref.ref(inst.dist)
-    del sol, inst
-    assert arena() is None and dist() is None
-    assert keys[0] not in _kernels._states and keys[1] not in _kernels._inputs
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        del sol, inst
+        assert arena() is None and dist() is None
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_clones_keep_their_own_blocks():
+    """A fresh clone starts without a block, so a detach from it leaves
+    the source's arena as it was; a clone into a spare keeps the spare's
+    block, which addresses the spare's own arena."""
+    needs_c()
+    inst = generate(GenParams(problem=Problem.VRPTW, n=12, seed=6))
+    sol = lns.initial_solution(inst)
+    operators.string_remove(inst, sol, np.random.default_rng(2))
+    kept = sol._block
+    assert kept is not None
+    before = sol._arena.tobytes()
+    dup = sol.clone()
+    assert dup._block is None
+    remove_customers(dup, sol.assigned_ids()[:5])
+    assert dup._block is not None and dup._block is not kept
+    assert sol._arena.tobytes() == before
+    assert sol._block is kept
+    block = dup._block
+    assert sol.clone(into=dup) is dup and dup._block is block
+    remove_customers(dup, sol.assigned_ids()[:5])
+    assert dup._block is block and sol._arena.tobytes() == before
 
 
 def test_missing_compiler_falls_back_to_interpreted(monkeypatch, tmp_path):

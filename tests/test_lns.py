@@ -276,6 +276,8 @@ class TestRun:
             LnsConfig(time_limit=-1).check()
         with pytest.raises(ConfigError):
             LnsConfig(max_iterations=10, sa_initial_temp=0.1, sa_final_temp=0.5).check()
+        with pytest.raises(ConfigError):
+            LnsConfig(max_iterations=1, validate_mode="off").check()
 
     def test_zero_removal_operator(self, gen):
         inst = gen(n=12, seed=8)
